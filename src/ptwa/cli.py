@@ -14,8 +14,8 @@ Subcommands expose each pipeline stage with reproducible configuration:
 Every subcommand is deterministic given its flags and seed, and every CSV
 starts with a ``#`` comment line recording the full configuration.  Exit
 codes: 0 success, 1 usage/config error, 2 numerical failure.  Set
-``PTWA_NUM_THREADS`` to cap the BLAS thread pool (applied at import, before
-the numerical libraries start their threads).
+``PTWA_NUM_THREADS`` to cap the BLAS thread pool (``ptwa/__init__.py`` applies
+it before the numerical libraries start their threads).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-
-if "PTWA_NUM_THREADS" in os.environ:  # must precede the first numpy import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["PTWA_NUM_THREADS"])
 
 import numpy as np
 
@@ -131,7 +126,8 @@ def cmd_gci(args) -> int:
         fh.write(f"# config: {items},delta={args.delta}\n")
         field.to_csv(fh)
     print(f"algebraic residual: {x.residual:.6e}")
-    print(f"condition estimate: {1.0 / x.rcond if x.rcond > 0 else math.inf:.6e}")
+    fourier_tail, hermite_tail = x.tail_norms()
+    print(f"spectral tail: |j|=m shells {fourier_tail:.6e}, k=n column {hermite_tail:.6e}")
     print(f"wrote {coeff_path} and {psi_path}")
     return EXIT_OK
 

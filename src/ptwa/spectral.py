@@ -8,9 +8,12 @@ type matrix equation
 
     beta1 M1 X N1 + beta2 M2 X N2 - lam X D2 = B,
 
-which is vectorized column-major through Kronecker products and solved densely.
-An independent assembly route scatters the 3x3 single-mode stencil of L over
-all basis pairs; the two assemblies must agree entrywise.
+which is vectorized column-major through sparse Kronecker products (at most
+seven nonzeros per column).  The solution is real and odd under
+(theta, kappa) -> (-theta, -kappa), which fixes every coefficient by one real
+number; the system restricted to that class is real and is solved by one
+sparse LU.  An independent assembly route scatters the 3x3 single-mode stencil
+of L over all basis pairs; the two assemblies must agree entrywise.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
+import scipy.sparse as sps
+from scipy.sparse.linalg import splu
 
 from .equilibrium import ModelParams, von_mises_pdf
 from .grid import Grid2D, GridField
@@ -33,6 +36,7 @@ __all__ = [
     "assemble_system",
     "assemble_rhs",
     "assemble_kron_matrix",
+    "assemble_symmetry_maps",
     "stencil_galerkin_matrix",
     "solve_gci",
     "reconstruct_psi",
@@ -40,10 +44,8 @@ __all__ = [
     "theta_marginal",
 ]
 
-#: relative algebraic residual required from the dense solve
+#: relative algebraic residual ||A vec - b|| / ||b|| required of the solve, with the full complex A
 SOLVE_RTOL = 1e-10
-#: condition-number threshold that triggers the least-squares fallback
-COND_FALLBACK = 1e12
 #: allowed imaginary residue of reconstructed values, relative to |real| + 1
 IMAG_TOL = 1e-8
 
@@ -82,13 +84,16 @@ class SpectralParams:
 class CoeffMatrix:
     """Complex coefficients C_j^k of psi, rows j = -m..m, columns k = 0..n.
 
-    Carries the relative algebraic residual of the solve and a reciprocal
-    condition estimate of the assembled system.
+    Carries the relative algebraic residual of the solve.
     """
 
     entries: np.ndarray
     residual: float = float("nan")
-    rcond: float = float("nan")
+
+    def tail_norms(self) -> tuple[float, float]:
+        """l2 norms of the last Fourier shells (|j| = m) and Hermite column (k = n); small when resolved."""
+        x = self.entries
+        return float(np.linalg.norm(x[[0, -1], :])), float(np.linalg.norm(x[:, -1]))
 
     def symmetry_defects(self) -> tuple[float, float]:
         """Max deviations from (reality) C_{-j}^k = conj(C_j^k) and (oddness) C_{-j}^k = -(-1)^k C_j^k."""
@@ -154,15 +159,39 @@ def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     return b
 
 
-def assemble_kron_matrix(sp: SpectralParams) -> np.ndarray:
-    """Dense operator on vec(X) (column-major): beta1 kron(N1^T, M1) + beta2 kron(N2^T, M2) - lam kron(D2, Id)."""
+def assemble_kron_matrix(sp: SpectralParams) -> sps.csc_matrix:
+    """Sparse operator on vec(X) (column-major): beta1 kron(N1^T, M1) + beta2 kron(N2^T, M2) - lam kron(D2, Id)."""
     s = assemble_system(sp)
-    eye = np.eye(sp.n_fourier)
+    eye = sps.identity(sp.n_fourier)
     return (
-        s["beta1"] * np.kron(s["N1"].T, s["M1"])
-        + s["beta2"] * np.kron(s["N2"].T, s["M2"])
-        - sp.model.lam * np.kron(s["D2"], eye)
+        s["beta1"] * sps.kron(s["N1"].T, s["M1"], format="csc")
+        + s["beta2"] * sps.kron(s["N2"].T, s["M2"], format="csc")
+        - sp.model.lam * sps.kron(s["D2"], eye, format="csc")
     )
+
+
+def assemble_symmetry_maps(sp: SpectralParams) -> tuple[sps.csc_matrix, sps.csc_matrix]:
+    """Expansion E and restriction R of the class C_{-j}^k = conj(C_j^k) = -(-1)^k C_j^k.
+
+    On it each coefficient is fixed by one real number r_j^k with j >= 0:
+    C_{+-j}^k = +-i r (k even) or r (k odd), and C_0^k = 0 for even k.  E maps
+    the reduced vector r to vec(X) (column-major); R reads r back, so R E = Id.
+    L maps the class into itself, so A E = E (R A E) and R A E is real.
+    """
+    m, nf = sp.m, sp.n_fourier
+    j, k = np.meshgrid(np.arange(m + 1), np.arange(sp.n_hermite), indexing="ij")
+    keep = (j > 0) | (k % 2 == 1)
+    j, k = j[keep], k[keep]
+    phase = np.where(k % 2 == 0, 1j, 1.0 + 0j)
+    cols = np.arange(j.size)
+    pairs = j > 0  # C_{-j}^k = conj(phase) r; the j = 0 row is its own mirror
+    rows = np.concatenate([m + j, m - j[pairs]]) + nf * np.concatenate([k, k[pairs]])
+    vals = np.concatenate([phase, np.conj(phase[pairs])])
+    expand = sps.csc_matrix(
+        (vals, (rows, np.concatenate([cols, cols[pairs]]))), shape=(sp.size, j.size)
+    )
+    restrict = sps.csc_matrix((np.conj(phase), (cols, m + j + nf * k)), shape=(j.size, sp.size))
+    return expand, restrict
 
 
 def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
@@ -206,55 +235,26 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
-    """Solve the coefficient equation by a dense bordered (deflated) LU solve.
+    """Solve the coefficient equation on the solution's symmetry class by one sparse real LU.
 
-    The truncated constant spans a near-kernel of the system matrix: its image
-    is a fast-decaying Bessel tail that underflows at large truncations, so the
-    condition estimate is astronomically bad while the system itself stays
-    compatible (the data is orthogonal to the left near-null space).  A plain
-    LU solve then pollutes the answer with an arbitrarily large multiple of the
-    numerical kernel.  The standard remedy is to border the matrix with a left
-    near-null column and the mean-zero constraint row
-
-        [[A, u], [w^H, 0]] [x; mu] = [b; 0],
-
-    which is well conditioned even when A is exactly singular and pins down the
-    representative with zero mu-mean.  The left vector u only needs a strong
-    component on the near-null space, so one inverse-power step suffices.
-    Falls back to a minimal-norm least-squares solve when the bordered residual
-    exceeds 1e-10, and raises RuntimeError if that fails too.
+    The truncated constant spans a near-kernel of the full matrix A (reciprocal
+    condition about 1e-38 at (30, 61)).  It is even under (theta, kappa) ->
+    (-theta, -kappa) while psi is odd, so on the real, odd class of
+    assemble_symmetry_maps the system Re(R A E) r = Re(R b) is well conditioned,
+    and reality, oddness and <psi>_mu = 0 hold exactly.  Raises RuntimeError if
+    ||A E r - b|| / ||b|| exceeds SOLVE_RTOL.
     """
     a = assemble_kron_matrix(sp)
     b = assemble_rhs(sp).flatten(order="F")
-    size = a.shape[0]
-    bnorm = np.linalg.norm(b)
-    anorm = np.linalg.norm(a, 1)
-    lu, piv = sla.lu_factor(a)
-    rcond, info = lapack.zgecon(lu, anorm)
-    if info != 0:
-        raise RuntimeError(f"condition estimation failed (info={info})")
-    ones = _constant_coefficients(sp).flatten(order="F")
-    w = ones / np.linalg.norm(ones)
-    u = sla.lu_solve((lu, piv), w, trans=2)
-    u /= np.linalg.norm(u)
-    bordered = np.zeros((size + 1, size + 1), dtype=complex)
-    bordered[:size, :size] = a
-    bordered[:size, size] = u
-    bordered[size, :size] = np.conj(w)
-    sol = sla.solve(bordered, np.concatenate([b, [0.0]]))
-    vec = _project_mean_zero(sol[:size], sp)
-    residual = float(np.linalg.norm(a @ vec - b) / bnorm)
+    expand, restrict = assemble_symmetry_maps(sp)
+    # .real is a strided view of the complex data; splu needs contiguous arrays
+    reduced = sps.csc_matrix((restrict @ a @ expand).real, copy=True)
+    vec = expand @ splu(reduced).solve((restrict @ b).real)
+    residual = float(np.linalg.norm(a @ vec - b) / np.linalg.norm(b))
     if residual > SOLVE_RTOL:
-        vec, *_ = np.linalg.lstsq(a, b, rcond=None)
-        vec = _project_mean_zero(vec, sp)
-        residual = float(np.linalg.norm(a @ vec - b) / bnorm)
-    if residual > SOLVE_RTOL:
-        raise RuntimeError(
-            f"dense solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e} "
-            f"(rcond estimate {rcond:.3e})"
-        )
+        raise RuntimeError(f"sparse solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e}")
     x = vec.reshape((sp.n_fourier, sp.n_hermite), order="F")
-    return CoeffMatrix(entries=x, residual=residual, rcond=float(rcond))
+    return CoeffMatrix(entries=x, residual=residual)
 
 
 def _constant_coefficients(sp: SpectralParams) -> np.ndarray:
@@ -267,14 +267,6 @@ def _constant_coefficients(sp: SpectralParams) -> np.ndarray:
     for row, j in enumerate(sp.fourier_orders()):
         c[row, 0] = pref * bessel_i(abs(j), z)
     return c
-
-
-def _project_mean_zero(vec: np.ndarray, sp: SpectralParams) -> np.ndarray:
-    """Remove the component along the truncated constant so that <psi>_mu ~ 0."""
-    ones = _constant_coefficients(sp).flatten(order="F")
-    # <psi>_mu = sum_jk C_j^k conj(ones_jk) by basis orthonormality
-    mean = np.vdot(ones, vec)
-    return vec - mean / np.vdot(ones, ones) * ones
 
 
 def mu_mean(x: CoeffMatrix, sp: SpectralParams) -> float:

@@ -147,7 +147,7 @@ def test_criterion_4_kron_equals_stencil(capsys):
     worst = 0.0
     for m, n in ((1, 2), (3, 4), (5, 6)):
         sp = SpectralParams(m, n, UNIT)
-        diff = np.max(np.abs(assemble_kron_matrix(sp) - stencil_galerkin_matrix(sp)))
+        diff = np.max(np.abs(assemble_kron_matrix(sp).toarray() - stencil_galerkin_matrix(sp)))
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0

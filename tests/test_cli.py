@@ -1,10 +1,16 @@
 """Command-line interface: emitted files, determinism, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptwa
 from ptwa.cli import main
 
 
@@ -34,7 +40,11 @@ class TestGci:
         )
         assert code == 0
         captured = capsys.readouterr().out
-        assert "algebraic residual" in captured and "condition estimate" in captured
+        assert "algebraic residual" in captured
+        tail = [line for line in captured.splitlines() if line.startswith("spectral tail:")]
+        assert len(tail) == 1
+        norms = [float(word.rstrip(",")) for word in tail[0].split() if word[0].isdigit()]
+        assert len(norms) == 2 and all(math.isfinite(v) for v in norms)
         coeffs = read_lines(tmp_path / "run_coeffs.csv")
         psi = read_lines(tmp_path / "run_psi.csv")
         assert coeffs[0].startswith("# config:") and coeffs[1] == "j,k,re,im"
@@ -188,3 +198,41 @@ class TestDeterminism:
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+#: prints the thread count of numpy's bundled OpenBLAS after ``import ptwa.cli``
+BLAS_POOL_PROBE = """
+import ctypes, glob, os
+import ptwa.cli
+import numpy
+
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
+names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+         "openblas_get_num_threads64_", "openblas_get_num_threads")
+for path in sorted(libs):
+    lib = ctypes.CDLL(path)
+    for name in names:
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            print(getter())
+            raise SystemExit(0)
+print("no-symbol")
+"""
+
+
+class TestThreadPin:
+    def test_ptwa_num_threads_sizes_the_blas_pool(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PTWA_NUM_THREADS"] = "1"
+        src = str(Path(ptwa.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_POOL_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.strip()
+        if out == "no-symbol":
+            pytest.skip("numpy's bundled OpenBLAS exports no thread-count getter")
+        assert int(out) == 1
