@@ -23,10 +23,6 @@ __all__ = [
     "Agents",
     "SimConfig",
     "SimStats",
-    "neighbor_indices_brute",
-    "neighbor_indices_cell",
-    "neighbor_mean_direction",
-    "target_curvature",
     "step",
     "collect_stats",
     "initial_state",
@@ -35,6 +31,11 @@ __all__ = [
 
 #: neighborhood flux below this magnitude counts as empty/cancelled
 J_TOL = 1e-12
+#: cells exceed the radius by this fraction of the box, above the round-off in
+#: a cell index or a minimum-image distance; also keeps n_cells**2 within int64
+CELL_SLACK = 1e-9
+#: candidate pairs listed at once; bounds the pair pass's memory at any density
+PAIR_BLOCK = 2**18
 #: histogram bins for the angle and curvature diagnostics
 HIST_BINS = 36
 #: stream index reserved for drawing the initial condition
@@ -116,83 +117,70 @@ def _min_image(dx: np.ndarray, box: float) -> np.ndarray:
     return dx - box * np.round(dx / box)
 
 
-def neighbor_indices_brute(x: np.ndarray, i: int, radius: float, box: float) -> np.ndarray:
-    """All-pairs neighbor search with the periodic minimum image; O(N) per query."""
-    d = _min_image(x - x[i], box)
-    return np.flatnonzero(np.einsum("ij,ij->i", d, d) < radius**2)
+def _neighbour_flux(x: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, radius: float, box: float):
+    """Sums of cos_t[j] and sin_t[j] over the agents j within radius of each agent i, i included.
 
-
-def _cell_table(x: np.ndarray, radius: float, box: float):
-    n_cells = max(1, int(box / radius))
-    cell = np.floor(x / box * n_cells).astype(int) % n_cells
-    table: dict[tuple[int, int], list[int]] = {}
-    for idx, (cx, cy) in enumerate(cell):
-        table.setdefault((int(cx), int(cy)), []).append(idx)
-    return n_cells, cell, table
-
-
-def neighbor_indices_cell(x: np.ndarray, i: int, radius: float, box: float) -> np.ndarray:
-    """Cell-list neighbor search; requires radius <= box/2 for correctness."""
-    n_cells, cell, table = _cell_table(x, radius, box)
-    cx, cy = int(cell[i, 0]), int(cell[i, 1])
-    candidates: list[int] = []
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            candidates.extend(table.get(((cx + ox) % n_cells, (cy + oy) % n_cells), []))
-    candidates = np.unique(np.array(candidates, dtype=int))
-    d = _min_image(x[candidates] - x[i], box)
-    return candidates[np.einsum("ij,ij->i", d, d) < radius**2]
-
-
-def neighbor_mean_direction(agents: Agents, i: int, cfg: SimConfig):
-    """Direction of J_i = sum of tau(theta_j) over neighbors of agent i, or None if cancelled."""
-    if cfg.global_coupling:
-        idx = np.arange(len(agents))
-    elif cfg.radius <= cfg.box_size / 2.0:
-        idx = neighbor_indices_cell(agents.x, i, cfg.radius, cfg.box_size)
-    else:
-        idx = neighbor_indices_brute(agents.x, i, cfg.radius, cfg.box_size)
-    if not cfg.include_self:
-        idx = idx[idx != i]
-    if len(idx) == 0:
-        return None
-    jx = float(np.sum(np.cos(agents.theta[idx])))
-    jy = float(np.sum(np.sin(agents.theta[idx])))
-    if math.hypot(jx, jy) <= J_TOL:
-        return None
-    return math.atan2(jy, jx)
-
-
-def target_curvature(theta_i: float, omega_bar: float) -> float:
-    """Cross product tau(theta_i) x tau(omega_bar) = sin(omega_bar - theta_i)."""
-    return math.sin(omega_bar - theta_i)
+    One pass over all pairs: the agents are binned into square cells wider than
+    the radius by CELL_SLACK * box, so every neighbour of an agent lies in its
+    own cell or one of the eight around it despite round-off in the cell index
+    and the distance.  Below three cells per side some of the nine offsets
+    coincide and are searched once; one cell per side is the all-pairs search.
+    The candidate pairs (i, j) of each distinct offset are listed with
+    np.repeat, kept when their minimum-image distance is below the radius, and
+    summed per i with bincount, for blocks of agents with about PAIR_BLOCK
+    candidates at a time.
+    """
+    n = len(x)
+    n_cells = max(1, int(box / (radius + CELL_SLACK * box)))
+    cell = np.floor(x / box * n_cells).astype(np.int64) % n_cells
+    key = cell[:, 0] * n_cells + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    shift = np.array(sorted({(a % n_cells, b % n_cells) for a in (-1, 0, 1) for b in (-1, 0, 1)}))
+    # one row per agent, one column per cell offset
+    other = (cell[:, :1] + shift[:, 0]) % n_cells * n_cells + (cell[:, 1:] + shift[:, 1]) % n_cells
+    lo = np.searchsorted(sorted_key, other, "left")
+    count = np.searchsorted(sorted_key, other, "right") - lo
+    per_agent = count.sum(axis=1)
+    block = (np.cumsum(per_agent) - per_agent) // PAIR_BLOCK
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [n]])
+    jx, jy = np.zeros(n), np.zeros(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        c = count[a:b].ravel()
+        i = np.repeat(np.arange(a, b), per_agent[a:b])
+        j = order[np.arange(len(i)) + np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c)]
+        dx = _min_image(x[j, 0] - x[i, 0], box)
+        dy = _min_image(x[j, 1] - x[i, 1], box)
+        within = dx * dx + dy * dy < radius**2
+        i, j = i[within], j[within]
+        jx += np.bincount(i, cos_t[j], n)
+        jy += np.bincount(i, sin_t[j], n)
+    return jx, jy
 
 
 def _kappa_bar_all(agents: Agents, cfg: SimConfig) -> np.ndarray:
     """Synchronous target curvatures from the pre-step configuration.
 
-    Empty or exactly cancelled neighborhoods (reachable only with
-    include_self=False) fall back to kappa_bar = 0.
+    kappa_bar_i = tau(theta_i) x J_i/|J_i| = sin(theta_bar_i - theta_i), where
+    J_i sums tau(theta_j) over the neighbours of agent i.  Empty or exactly
+    cancelled neighborhoods (reachable only with include_self=False) fall back
+    to kappa_bar = 0.
     """
     n = len(agents)
     cos_t, sin_t = np.cos(agents.theta), np.sin(agents.theta)
     if cfg.global_coupling:
         jx = np.full(n, np.sum(cos_t))
         jy = np.full(n, np.sum(sin_t))
-        if not cfg.include_self:
-            jx -= cos_t
-            jy -= sin_t
-        norm = np.hypot(jx, jy)
-        # kappa_bar = tau(theta) x J/|J| = (cos*Jy - sin*Jx)/|J|
-        with np.errstate(invalid="ignore", divide="ignore"):
-            kb = (cos_t * jy - sin_t * jx) / norm
-        return np.where(norm > J_TOL, kb, 0.0)
-    kb = np.zeros(n)
-    for i in range(n):
-        omega_bar = neighbor_mean_direction(agents, i, cfg)
-        if omega_bar is not None:
-            kb[i] = target_curvature(float(agents.theta[i]), omega_bar)
-    return kb
+    else:
+        jx, jy = _neighbour_flux(agents.x, cos_t, sin_t, cfg.radius, cfg.box_size)
+    if not cfg.include_self:
+        jx -= cos_t
+        jy -= sin_t
+    norm = np.hypot(jx, jy)
+    # kappa_bar = tau(theta) x J/|J| = (cos*Jy - sin*Jx)/|J|
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kb = (cos_t * jy - sin_t * jx) / norm
+    return np.where(norm > J_TOL, kb, 0.0)
 
 
 def step(agents: Agents, cfg: SimConfig, step_index: int = 0) -> Agents:
@@ -211,6 +199,7 @@ def step(agents: Agents, cfg: SimConfig, step_index: int = 0) -> Agents:
     theta = wrap_angle(agents.theta + kappa * cfg.dt)
     tau = np.column_stack([np.cos(theta), np.sin(theta)])
     x = np.mod(agents.x + tau * cfg.dt, cfg.box_size)
+    x[x >= cfg.box_size] = 0.0  # np.mod(-tiny, box) rounds up to box itself
     return Agents(x=x, theta=theta, kappa=kappa)
 
 
