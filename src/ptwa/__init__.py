@@ -39,7 +39,6 @@ from .hydro import (
 )
 from .montecarlo import MCC2Result, OracleConfig, feynman_kac_psi, mc_c2, simulate_linear_sde
 from .particles import Agents, AgentState, SimConfig, SimStats, collect_stats, run_simulation, step
-from .special import bessel_i, hermite_p
 from .spectral import (
     CoeffMatrix,
     SpectralParams,
@@ -50,7 +49,6 @@ from .spectral import (
     reconstruct_psi,
     solve_gci,
     stencil_galerkin_matrix,
-    theta_marginal,
     theta_marginal_times_m,
 )
 

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .equilibrium import ModelParams, c1_coefficient
+from .equilibrium import ModelParams, c1_coefficient, kappa_cutoff
 from .grid import Grid2D, residual_inf
 from .hydro import gamma_moments
 from .montecarlo import OracleConfig, mc_c2
@@ -123,7 +123,8 @@ def cmd_gci(args) -> int:
         x.to_csv(fh)
     field = psi_on_grid(x, sp, _residual_grid(args.delta))
     with open(psi_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {items},delta={args.delta}\n")
+        # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
+        fh.write(f"# config: {items},delta={args.delta},kappa_cutoff={kappa_cutoff(sp.model)!r}\n")
         field.to_csv(fh)
     print(f"algebraic residual: {x.residual:.6e}")
     fourier_tail, hermite_tail = x.tail_norms()

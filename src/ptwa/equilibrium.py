@@ -4,7 +4,9 @@ The stationary local state is the product mu(theta, kappa) = M(theta) N(kappa)
 of a Von Mises distribution in the heading angle (concentration lambda^2/alpha^2)
 and a centered Gaussian in the curvature (variance alpha^2/lambda).  The drift
 coefficient of the macroscopic density equation is the Bessel ratio
-c1 = I1(lambda^2/alpha^2) / I0(lambda^2/alpha^2).
+c1 = I1(lambda^2/alpha^2) / I0(lambda^2/alpha^2).  Both are evaluated through the
+exponentially scaled ive(n, k) = exp(-k) I_n(k), so the exponentials cancel and
+nothing overflows at large concentration.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .special import bessel_i
+from scipy.special import ive
 
 __all__ = [
     "ModelParams",
@@ -104,10 +105,9 @@ def nondimensionalize(p: DimensionalParams) -> ModelParams:
 
 
 def von_mises_pdf(params: ModelParams, theta):
-    """Von Mises density M(theta) = C0 exp((lam^2/alpha^2) cos theta), C0 = 1/(2 pi I0(lam^2/alpha^2))."""
+    """Von Mises density M(theta) = exp(k cos theta) / (2 pi I0(k)), k = lam^2/alpha^2, in scaled form."""
     k = params.concentration
-    c0 = 1.0 / (2.0 * math.pi * bessel_i(0, k))
-    return c0 * np.exp(k * np.cos(theta))
+    return np.exp(k * (np.cos(theta) - 1.0)) / (2.0 * math.pi * ive(0, k))
 
 
 def gaussian_pdf(params: ModelParams, kappa):
@@ -124,7 +124,7 @@ def mu_pdf(params: ModelParams, theta, kappa):
 def c1_coefficient(params: ModelParams) -> float:
     """Density drift speed c1 = I1(lam^2/alpha^2) / I0(lam^2/alpha^2)."""
     k = params.concentration
-    return bessel_i(1, k) / bessel_i(0, k)
+    return float(ive(1, k) / ive(0, k))
 
 
 def c1_quadrature(params: ModelParams, n_nodes: int = THETA_QUAD_NODES) -> float:

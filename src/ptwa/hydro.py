@@ -110,18 +110,22 @@ def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:
     )
 
 
+def _discriminant(h: HydroCoeffs, theta: float) -> float:
+    """The characteristic discriminant at wave angle theta, the same for both speeds."""
+    return (h.c1 - h.c2) ** 2 * math.cos(theta) ** 2 + 4.0 * h.c1 * h.d * math.sin(theta) ** 2
+
+
 def characteristic_speeds(h: HydroCoeffs, theta: float) -> tuple[float, float]:
     """Both characteristic velocities of the reduced one-dimensional system at wave angle theta.
 
-    gamma_pm = 1/2 [(c1 + c2) cos(theta) +- sqrt((c1 - c2)^2 cos^2 + 4 c1 d sin^2)].
+    gamma_pm = 1/2 [(c1 + c2) cos(theta) +- sqrt(disc)], disc from _discriminant.
     The discriminant is a sum of squares scaled by positives; a negative value
     is an internal invariant violation.
     """
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    disc = (h.c1 - h.c2) ** 2 * cos_t**2 + 4.0 * h.c1 * h.d * sin_t**2
+    disc = _discriminant(h, theta)
     assert disc >= 0.0, "characteristic discriminant must be non-negative"
     root = math.sqrt(disc)
-    base = (h.c1 + h.c2) * cos_t
+    base = (h.c1 + h.c2) * math.cos(theta)
     return 0.5 * (base + root), 0.5 * (base - root)
 
 
@@ -129,8 +133,4 @@ def hyperbolicity_check(h: HydroCoeffs, theta_samples: int) -> bool:
     """True iff the characteristic discriminant is >= 0 at all sampled wave angles."""
     if theta_samples < 8:
         raise ValueError(f"theta_samples must be >= 8, got {theta_samples}")
-    for th in theta_nodes(theta_samples):
-        disc = (h.c1 - h.c2) ** 2 * math.cos(th) ** 2 + 4.0 * h.c1 * h.d * math.sin(th) ** 2
-        if disc < 0.0:
-            return False
-    return True
+    return all(_discriminant(h, th) >= 0.0 for th in theta_nodes(theta_samples))

@@ -1,10 +1,10 @@
-"""Modified Bessel functions of integer order and normalized probabilists' Hermite polynomials.
+"""Normalized probabilists' Hermite polynomials, the curvature direction of the spectral basis.
 
-These are the two building blocks of the toolkit: every closed-form constant
-(normalizations, the density drift coefficient c1, the right-hand side of the
-spectral system) is a ratio or difference of modified Bessel functions, and the
-curvature direction of the spectral basis is built from scaled Hermite
-polynomials ``P_n(kappa) = He_n(sqrt(lambda)/alpha * kappa) / sqrt(n!)``.
+The basis functions are ``P_n(kappa) = He_n(sqrt(lambda)/alpha * kappa) / sqrt(n!)``,
+orthonormal against the curvature equilibrium.  The modified Bessel functions
+behind every closed-form constant (normalizations, the density drift
+coefficient c1, the right-hand side of the spectral system) are scipy's
+exponentially scaled ``scipy.special.ive``, called where they are used.
 """
 
 from __future__ import annotations
@@ -13,86 +13,16 @@ import math
 
 import numpy as np
 
-__all__ = ["bessel_i", "hermite_p", "hermite_p_row"]
-
-# Power series below this argument, Miller backward recurrence above.
-_SERIES_CUTOFF = 20.0
+__all__ = ["hermite_p_row"]
 
 
-def _bessel_i_series(order: int, x: float) -> float:
-    """Power series sum_k (x/2)^(2k+order) / (k! (k+order)!), summed to machine tail."""
-    half = 0.5 * x
-    # term at k=0: half^order / order!
-    term = half**order / math.factorial(order)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= half * half / (k * (k + order))
-        total += term
-        if term <= 1e-18 * total:  # <= so a fully underflowed series terminates
-            return total
-
-
-def _bessel_i_miller(order: int, x: float) -> float:
-    """Backward (Miller) recurrence, normalized with I0(x) + 2*sum I_k(x) = e^x."""
-    top = int(max(order, x) + 40 + 10.0 * math.sqrt(max(order, x)))
-    above = 0.0  # I_{k+1} (unnormalized)
-    cur = 1e-300  # I_k, seeded at k = top
-    target = cur if top == order else 0.0
-    norm = 0.0  # accumulates I_0 + 2 sum_{k>=1} I_k = e^x
-    for k in range(top, 0, -1):
-        norm += 2.0 * cur
-        above, cur = cur, above + (2.0 * k / x) * cur
-        if k - 1 == order:
-            target = cur
-        if cur > 1e250:  # renormalize to dodge overflow
-            cur *= 1e-250
-            above *= 1e-250
-            target *= 1e-250
-            norm *= 1e-250
-    norm += cur  # cur is now I_0
-    return target * math.exp(x) / norm
-
-
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function I_order(x) for integer order >= 0 and x >= 0.
-
-    Negative orders must be mapped through I_{-n} = I_n by the caller.
-    Relative error <= 1e-12 for x <= 50 and order <= 128.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order} (map I_-n = I_n first)")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _bessel_i_series(order, x)
-    return _bessel_i_miller(order, x)
-
-
-def hermite_p(n: int, lam: float, alpha: float, kappa: float) -> float:
-    """Normalized probabilists' Hermite polynomial P_n(kappa) = He_n(sqrt(lam)/alpha * kappa)/sqrt(n!).
+def hermite_p_row(n_max: int, lam: float, alpha: float, kappa: np.ndarray) -> np.ndarray:
+    """All normalized Hermite values P_0..P_{n_max} at each kappa, shape kappa.shape + (n_max+1,).
 
     Evaluated by the three-term recurrence He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)
     with the 1/sqrt(n!) normalization folded in incrementally:
     p_{k+1} = (x p_k - sqrt(k) p_{k-1}) / sqrt(k+1).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if lam <= 0 or alpha <= 0:
-        raise ValueError("lam and alpha must be positive")
-    x = math.sqrt(lam) / alpha * kappa
-    p_prev = 0.0
-    p = 1.0
-    for k in range(n):
-        p_prev, p = p, (x * p - math.sqrt(k) * p_prev) / math.sqrt(k + 1)
-    return p
-
-
-def hermite_p_row(n_max: int, lam: float, alpha: float, kappa: np.ndarray) -> np.ndarray:
-    """All normalized Hermite values P_0..P_{n_max} at each kappa, shape (len(kappa), n_max+1)."""
     kappa = np.asarray(kappa, dtype=float)
     x = math.sqrt(lam) / alpha * kappa
     out = np.empty(kappa.shape + (n_max + 1,))

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
+from scipy.special import ive
 
 from .equilibrium import ModelParams, von_mises_pdf
 from .grid import Grid2D, GridField
-from .special import bessel_i, hermite_p_row
+from .special import hermite_p_row
 
 __all__ = [
     "SpectralParams",
@@ -41,7 +42,7 @@ __all__ = [
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
-    "theta_marginal",
+    "theta_marginal_times_m",
 ]
 
 #: relative algebraic residual ||A vec - b|| / ||b|| required of the solve, with the full complex A
@@ -148,14 +149,13 @@ def assemble_system(sp: SpectralParams) -> dict:
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     """Basis coefficients of -sin(theta): nonzero only in the Hermite-degree-0 column.
 
-    B(j, 0) = i / (2 sqrt(I0(lam^2/alpha^2))) * (I_{|j-1|}(lam^2/(2 alpha^2)) - I_{|j+1|}(lam^2/(2 alpha^2))).
+    B(j, 0) = i (I_{j-1}(k/2) - I_{j+1}(k/2)) / (2 sqrt(I0(k))) with k = lam^2/alpha^2,
+    evaluated with the scaled ive(n, x) = exp(-x) I_n(x) so the exponentials cancel.
     """
-    lam, alpha = sp.model.lam, sp.model.alpha
-    z = lam**2 / (2.0 * alpha**2)
-    pref = 1j / (2.0 * math.sqrt(bessel_i(0, lam**2 / alpha**2)))
+    k = sp.model.concentration
+    j = sp.fourier_orders()
     b = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    for row, j in enumerate(sp.fourier_orders()):
-        b[row, 0] = pref * (bessel_i(abs(j - 1), z) - bessel_i(abs(j + 1), z))
+    b[:, 0] = 1j * (ive(j - 1, k / 2.0) - ive(j + 1, k / 2.0)) / (2.0 * math.sqrt(ive(0, k)))
     return b
 
 
@@ -258,14 +258,10 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
 
 
 def _constant_coefficients(sp: SpectralParams) -> np.ndarray:
-    """Basis coefficients of the constant function 1 (truncated): only k=0 column is nonzero."""
-    lam, alpha = sp.model.lam, sp.model.alpha
-    z = lam**2 / (2.0 * alpha**2)
-    c0 = 1.0 / (2.0 * math.pi * bessel_i(0, lam**2 / alpha**2))
-    pref = math.sqrt(2.0 * math.pi * c0)
+    """Basis coefficients of the constant function 1 (truncated): C(j, 0) = I_j(k/2) / sqrt(I0(k)), scaled."""
+    k = sp.model.concentration
     c = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    for row, j in enumerate(sp.fourier_orders()):
-        c[row, 0] = pref * bessel_i(abs(j), z)
+    c[:, 0] = ive(sp.fourier_orders(), k / 2.0) / math.sqrt(ive(0, k))
     return c
 
 
@@ -287,8 +283,10 @@ def _fourier_rows(sp: SpectralParams, theta) -> np.ndarray:
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     """Evaluate psi(theta, kappa) = sum_jk C_j^k phi_j(theta) P_k(kappa).
 
-    Accepts scalars or broadcastable arrays; raises ValueError if the imaginary
-    residue exceeds 1e-8 * (|real| + 1).
+    The values are psi only where |kappa| <= kappa_cutoff(sp.model); beyond it
+    the truncated series is round-off amplified by the top Hermite degrees and
+    by 1/sqrt(M(theta)) (see psi_on_grid).  Accepts scalars or broadcastable
+    arrays; raises ValueError if the imaginary residue exceeds 1e-8 * (|real| + 1).
     """
     theta = np.asarray(theta, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
@@ -328,6 +326,8 @@ def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
 def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):
     """psi_bar(theta) * M(theta), evaluated without the 1/sqrt(M) amplification.
 
+    psi_bar = sum_j C_j^0 phi_j is the kappa-average of psi, exact since the
+    Hermite directions integrate to delta_{k0} against the Gaussian weight.
     The marginal itself carries a 1/sqrt(M) factor that grows like
     exp(concentration) near theta = pi and amplifies coefficient noise at
     large lambda/alpha; the product against the Von Mises weight is the
@@ -338,22 +338,6 @@ def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):
     phase = np.exp(1j * theta[..., None] * j)
     weight = np.sqrt(von_mises_pdf(sp.model, theta) / (2.0 * math.pi))
     vals = (phase @ x.entries[:, 0]) * weight
-    _check_real(vals)
-    out = np.real(vals)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def theta_marginal(x: CoeffMatrix, sp: SpectralParams, theta):
-    """kappa-averaged invariant: psi_bar(theta) = sum_j C_j^0 phi_j(theta).
-
-    Exact since the Hermite directions integrate to delta_{k0} against the
-    Gaussian weight.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = _fourier_rows(sp, theta)
-    vals = phi @ x.entries[:, 0]
     _check_real(vals)
     out = np.real(vals)
     if out.ndim == 0:

@@ -12,6 +12,7 @@ import pytest
 
 import ptwa
 from ptwa.cli import main
+from ptwa.equilibrium import ModelParams, kappa_cutoff
 
 
 def read_lines(path):
@@ -49,6 +50,9 @@ class TestGci:
         psi = read_lines(tmp_path / "run_psi.csv")
         assert coeffs[0].startswith("# config:") and coeffs[1] == "j,k,re,im"
         assert psi[0].startswith("# config:") and psi[1] == "theta,kappa,value"
+        # rows with |kappa| beyond the cutoff are not psi; the header says where that is
+        fields = dict(item.split("=") for item in psi[0].removeprefix("# config: ").split(","))
+        assert float(fields["kappa_cutoff"]) == kappa_cutoff(ModelParams(1.0, 1.0))
         assert len(coeffs) == 2 + 13 * 14  # (2m+1)(n+1) coefficient rows
 
     def test_even_m_accepted(self, tmp_path):

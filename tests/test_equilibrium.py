@@ -115,6 +115,38 @@ class TestC1:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class TestLargeConcentration:
+    """lam^2/alpha^2 up to 1e4, far past where exp(lam^2/alpha^2) overflows a double (~709)."""
+
+    @given(
+        k1=st.floats(min_value=1e-2, max_value=1e4, allow_nan=False),
+        k2=st.floats(min_value=1e-2, max_value=1e4, allow_nan=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_c1_in_unit_interval_and_nondecreasing(self, k1, k2):
+        lo, hi = sorted((k1, k2))
+        c_lo = c1_coefficient(ModelParams(lam=math.sqrt(lo), alpha=1.0))
+        c_hi = c1_coefficient(ModelParams(lam=math.sqrt(hi), alpha=1.0))
+        assert 0.0 < c_lo <= c_hi < 1.0
+
+    def test_c1_approaches_one_like_one_over_twice_the_concentration(self):
+        # 1 - I1(k)/I0(k) = 1/(2k) + O(1/k^2)
+        gap = 1.0 - c1_coefficient(ModelParams(lam=100.0, alpha=1.0))
+        assert gap == pytest.approx(1.0 / (2.0 * 1e4), rel=1e-2)
+
+    def test_c1_finite_past_exp_overflow(self):
+        c1 = c1_coefficient(ModelParams(lam=27.0, alpha=1.0))
+        assert math.isfinite(c1) and 0.0 < c1 < 1.0
+
+    @pytest.mark.parametrize("lam", [27.0, 100.0])  # concentrations 729 and 1e4
+    def test_density_normalized_and_quadrature_matches(self, lam):
+        p = ModelParams(lam=lam, alpha=1.0)
+        nodes = 8192
+        th = np.linspace(-math.pi, math.pi, nodes + 1)[:-1]
+        assert np.sum(von_mises_pdf(p, th)) * (2.0 * math.pi / nodes) == pytest.approx(1.0, abs=1e-10)
+        assert c1_quadrature(p, nodes) == pytest.approx(c1_coefficient(p), abs=1e-10)
+
+
 class TestEquilibriumFlux:
     def test_zero_density(self):
         p = ModelParams(1.0, 1.0)

@@ -1,62 +1,27 @@
-"""Modified Bessel functions and normalized Hermite polynomials."""
+"""Normalized Hermite polynomials, checked column by column of hermite_p_row."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwa.special import bessel_i, hermite_p, hermite_p_row
-
-
-class TestBesselI:
-    def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
-        assert bessel_i(7, 0.0) == 0.0
-
-    def test_series_values(self):
-        assert bessel_i(0, 1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
-        assert bessel_i(1, 1.0) == pytest.approx(0.5651591039924851, rel=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
-
-    @given(
-        order=st.integers(min_value=0, max_value=128),
-        x=st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_subnormal=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, order, x):
-        # iv flushes normal values to zero for tiny x (iv(1, 1e-200) == 0.0, not
-        # 5e-201); the exponentially scaled ive does not
-        ref = scipy.special.ive(order, x) * math.exp(x)
-        assume(not math.isnan(ref))  # reference nans out near the underflow edge
-        assert bessel_i(order, x) == pytest.approx(ref, rel=1e-11, abs=1e-300)
-
-    def test_series_miller_crossover_is_smooth(self):
-        # both branches must agree with the reference where they meet
-        for order in (0, 1, 5, 30):
-            for x in (19.999999, 20.000001):
-                assert bessel_i(order, x) == pytest.approx(scipy.special.iv(order, x), rel=1e-11)
+from ptwa.special import hermite_p_row
 
 
 class TestHermiteP:
     def test_base_cases(self):
-        assert hermite_p(0, 1.0, 1.0, 0.7) == 1.0
-        assert hermite_p(1, 1.0, 1.0, 0.7) == pytest.approx(0.7)
-        assert hermite_p(2, 1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        row = hermite_p_row(2, 1.0, 1.0, np.array([0.7, 1.0]))
+        assert row.shape == (2, 3)
+        assert row[0, 0] == 1.0
+        assert row[0, 1] == pytest.approx(0.7)
+        assert row[1, 2] == pytest.approx(0.0, abs=1e-14)
 
     def test_scaling(self):
         # P_1(kappa) = (sqrt(lam)/alpha) kappa
-        assert hermite_p(1, 4.0, 2.0, 0.7) == pytest.approx(0.7)
-        assert hermite_p(1, 1.0, 2.0, 1.0) == pytest.approx(0.5)
+        assert hermite_p_row(1, 4.0, 2.0, 0.7)[1] == pytest.approx(0.7)
+        assert hermite_p_row(1, 1.0, 2.0, 1.0)[1] == pytest.approx(0.5)
 
     @given(
         n=st.integers(min_value=1, max_value=20),
@@ -67,11 +32,9 @@ class TestHermiteP:
     @settings(max_examples=100, deadline=None)
     def test_three_term_recurrence(self, n, kappa, lam, alpha):
         # kappa P_n = (alpha/sqrt(lam)) (sqrt(n+1) P_{n+1} + sqrt(n) P_{n-1})
-        lhs = kappa * hermite_p(n, lam, alpha, kappa)
-        rhs = (alpha / math.sqrt(lam)) * (
-            math.sqrt(n + 1) * hermite_p(n + 1, lam, alpha, kappa)
-            + math.sqrt(n) * hermite_p(n - 1, lam, alpha, kappa)
-        )
+        p = hermite_p_row(n + 1, lam, alpha, kappa)
+        lhs = kappa * p[n]
+        rhs = (alpha / math.sqrt(lam)) * (math.sqrt(n + 1) * p[n + 1] + math.sqrt(n) * p[n - 1])
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("lam,alpha", [(1.0, 1.0), (2.0, 0.7)])
@@ -88,24 +51,9 @@ class TestHermiteP:
         # -lam kappa P_n' + alpha^2 P_n'' = -lam n P_n
         lam, alpha = 1.3, 0.9
         h = 1e-5
-        for kappa in (-2.0, -0.3, 0.0, 1.1, 3.0):
-            p = hermite_p(n, lam, alpha, kappa)
-            d1 = (hermite_p(n, lam, alpha, kappa + h) - hermite_p(n, lam, alpha, kappa - h)) / (
-                2 * h
-            )
-            d2 = (
-                hermite_p(n, lam, alpha, kappa + h)
-                - 2 * p
-                + hermite_p(n, lam, alpha, kappa - h)
-            ) / h**2
-            # roundoff in the h^2 divided difference dominates: ~eps * |P| / h^2
-            assert -lam * kappa * d1 + alpha**2 * d2 == pytest.approx(
-                -lam * n * p, rel=1e-5, abs=1e-4
-            )
-
-    def test_row_matches_scalar(self):
-        kappa = np.array([-3.0, 0.0, 1.7])
-        table = hermite_p_row(6, 1.5, 0.8, kappa)
-        for k in range(7):
-            for i, x in enumerate(kappa):
-                assert table[i, k] == pytest.approx(hermite_p(k, 1.5, 0.8, x), rel=1e-12)
+        kappa = np.array([-2.0, -0.3, 0.0, 1.1, 3.0])
+        minus, p, plus = (hermite_p_row(n, lam, alpha, kappa + s)[:, n] for s in (-h, 0.0, h))
+        d1 = (plus - minus) / (2 * h)
+        d2 = (plus - 2 * p + minus) / h**2
+        # roundoff in the h^2 divided difference dominates: ~eps * |P| / h^2
+        assert -lam * kappa * d1 + alpha**2 * d2 == pytest.approx(-lam * n * p, rel=1e-5, abs=1e-4)
