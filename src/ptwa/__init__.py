@@ -37,7 +37,7 @@ from .hydro import (
     gamma_moments,
     hyperbolicity_check,
 )
-from .montecarlo import MCC2Result, OracleConfig, feynman_kac_psi, mc_c2, simulate_linear_sde
+from .montecarlo import MCC2Result, OracleConfig, feynman_kac_psi, mc_c2
 from .particles import Agents, AgentState, SimConfig, SimStats, collect_stats, run_simulation, step
 from .spectral import (
     CoeffMatrix,

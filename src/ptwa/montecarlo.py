@@ -12,6 +12,12 @@ sign B -> -B.  Because (theta, kappa, B) -> (-theta, -kappa, -B) is an exact
 pathwise symmetry of the dynamics, noise-sign pairing also makes the oddness
 psi(-theta, -kappa) = -psi(theta, kappa) exact for the estimator.  This module
 is the independent cross-check of the spectral solver.
+
+Each antithetic pair owns one counter-based noise stream.  Pairs are simulated
+CHUNK_PAIRS at a time as one state of 2 * chunk paths (+noise half, -noise
+half), and each stream is drawn in blocks of NOISE_BLOCK steps, so memory is
+O(chunk * block), not O(chunk * n_steps).  None of the blocking constants
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -22,12 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, theta_nodes, von_mises_pdf, wrap_angle
+from .equilibrium import ModelParams, theta_nodes, von_mises_pdf
 
-__all__ = ["OracleConfig", "simulate_linear_sde", "feynman_kac_psi", "mc_c2", "MCC2Result"]
+__all__ = ["OracleConfig", "feynman_kac_psi", "mc_c2", "MCC2Result"]
 
-#: antithetic pairs simulated per chunk (bounds memory at ~ chunk * n_steps doubles)
+#: antithetic pairs simulated per chunk (one Philox generator per pair)
 CHUNK_PAIRS = 2048
+#: steps of noise drawn per stream at a time; memory is ~ chunk * block doubles
+NOISE_BLOCK = 512
+#: streams drawn before one cache-sized transpose into the step-major block
+ROW_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -59,40 +69,47 @@ def _path_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def simulate_linear_sde(cfg: OracleConfig, theta0: float, kappa0: float):
-    """One Euler-Maruyama trajectory from (theta0, kappa0).
+def _integrate_sin(cfg: OracleConfig, theta0: float, kappa0: float, rngs) -> tuple:
+    """Fused antithetic Euler-Maruyama over one chunk of noise streams.
 
-    Returns (t, theta, kappa) arrays of length n_steps + 1; theta is integrated
-    unwrapped and reported wrapped to (-pi, pi].
+    Path p < c = len(rngs) is driven by +xi drawn from rngs[p] and path c + p
+    by -xi from the same draws.  The noise is drawn per stream in blocks of
+    NOISE_BLOCK steps, so memory is O(c * NOISE_BLOCK), not O(c * n_steps).
+    Returns (trapezoid integral of sin(theta_s), final sin(theta)), each of
+    length 2c with the + half first.
     """
-    lam, alpha = cfg.model.lam, cfg.model.alpha
-    n = cfg.n_steps
-    rng = _path_rng(cfg.seed, 0)
-    noise = rng.standard_normal(n) * math.sqrt(2.0 * cfg.dt) * alpha
-    theta = np.empty(n + 1)
-    kappa = np.empty(n + 1)
-    theta[0], kappa[0] = theta0, kappa0
-    for i in range(n):
-        theta[i + 1] = theta[i] + kappa[i] * cfg.dt
-        kappa[i + 1] = kappa[i] - lam * (math.sin(theta[i]) + kappa[i]) * cfg.dt + noise[i]
-    t = cfg.dt * np.arange(n + 1)
-    return t, wrap_angle(theta), kappa
-
-
-def _integrate_sin(cfg: OracleConfig, theta0, kappa0, noise):
-    """Vectorized Euler-Maruyama; returns (trapezoid integral of sin(theta_s), final sin(theta))."""
     lam = cfg.model.lam
     dt = cfg.dt
     n = cfg.n_steps
-    theta = np.array(theta0, dtype=float, copy=True)
-    kappa = np.array(kappa0, dtype=float, copy=True)
+    scale = math.sqrt(2.0 * dt) * cfg.model.alpha
+    c = len(rngs)
+    block = min(NOISE_BLOCK, n)
+    rows = np.empty((ROW_TILE, block))  # one contiguous row per stream of a tile
+    xi = np.empty((block, c))  # the whole chunk's block, step-major and scaled
+    theta = np.full(2 * c, theta0, dtype=float)
+    kappa = np.full(2 * c, kappa0, dtype=float)
     s = np.sin(theta)  # shared between the drift and the running integral
     acc = 0.5 * s
-    for i in range(n):
-        theta += kappa * dt
-        kappa += -lam * (s + kappa) * dt + noise[i]
-        s = np.sin(theta)
-        acc += s
+    t = np.empty(2 * c)
+    t_plus, t_minus = t[:c], t[c:]
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        for j in range(0, c, ROW_TILE):
+            tile = rngs[j : j + ROW_TILE]
+            for p, rng in enumerate(tile):
+                rng.standard_normal(out=rows[p, :b])
+            np.multiply(rows[: len(tile), :b].T, scale, out=xi[:b, j : j + len(tile)])
+        for x in xi[:b]:
+            np.multiply(kappa, dt, out=t)
+            theta += t
+            np.add(s, kappa, out=t)
+            t *= -lam
+            t *= dt
+            t_plus += x
+            t_minus -= x
+            kappa += t
+            np.sin(theta, out=s)
+            acc += s
     acc -= 0.5 * s
     return acc * dt, s
 
@@ -111,26 +128,14 @@ def feynman_kac_psi(cfg: OracleConfig, theta0: float, kappa0: float, stream_offs
     insufficient horizon.
     """
     n_pairs = cfg.paths // 2
-    scale = math.sqrt(2.0 * cfg.dt) * cfg.model.alpha
     values = np.empty(n_pairs)
     tails = np.empty(n_pairs)  # one pair-averaged tail per antithetic pair
-    done = 0
-    while done < n_pairs:
+    for done in range(0, n_pairs, CHUNK_PAIRS):
         chunk = min(CHUNK_PAIRS, n_pairs - done)
-        noise = np.empty((cfg.n_steps, chunk))
-        for p in range(chunk):
-            rng = _path_rng(cfg.seed, stream_offset + done + p)
-            noise[:, p] = rng.standard_normal(cfg.n_steps)
-        noise *= scale
-        s_plus, tail_plus = _integrate_sin(
-            cfg, np.full(chunk, theta0), np.full(chunk, kappa0), noise
-        )
-        s_minus, tail_minus = _integrate_sin(
-            cfg, np.full(chunk, theta0), np.full(chunk, kappa0), -noise
-        )
-        values[done : done + chunk] = 0.5 * (s_plus + s_minus)
-        tails[done : done + chunk] = 0.5 * (tail_plus + tail_minus)
-        done += chunk
+        rngs = [_path_rng(cfg.seed, stream_offset + done + p) for p in range(chunk)]
+        integral, tail = _integrate_sin(cfg, theta0, kappa0, rngs)
+        values[done : done + chunk] = 0.5 * (integral[:chunk] + integral[chunk:])
+        tails[done : done + chunk] = 0.5 * (tail[:chunk] + tail[chunk:])
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs)) if n_pairs > 1 else float("inf")
     tail_mean = float(np.mean(tails))

@@ -280,13 +280,16 @@ def _fourier_rows(sp: SpectralParams, theta) -> np.ndarray:
     return phase * weight[..., None]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _check_real
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     """Evaluate psi(theta, kappa) = sum_jk C_j^k phi_j(theta) P_k(kappa).
 
     The values are psi only where |kappa| <= kappa_cutoff(sp.model); beyond it
     the truncated series is round-off amplified by the top Hermite degrees and
     by 1/sqrt(M(theta)) (see psi_on_grid).  Accepts scalars or broadcastable
-    arrays; raises ValueError if the imaginary residue exceeds 1e-8 * (|real| + 1).
+    arrays; raises ValueError if the imaginary residue exceeds 1e-8 * (|real| + 1)
+    and FloatingPointError if any value is not finite (near theta = pi once
+    M(theta) underflows, lambda^2/alpha^2 above about 372).
     """
     theta = np.asarray(theta, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
@@ -302,12 +305,19 @@ def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
 
 
 def _check_real(vals: np.ndarray) -> None:
+    n_bad = np.size(vals) - np.count_nonzero(np.isfinite(vals))
+    if n_bad:
+        raise FloatingPointError(
+            f"reconstruction is not finite at {n_bad} of {np.size(vals)} points "
+            "(the Fourier weight 1/sqrt(M) overflows where M(theta) underflows)"
+        )
     bad = np.abs(np.imag(vals)) > IMAG_TOL * (np.abs(np.real(vals)) + 1.0)
     if np.any(bad):
         worst = float(np.max(np.abs(np.imag(vals))))
         raise ValueError(f"reconstruction has non-real residue {worst:.3e}")
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _check_real
 def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
     """Reconstruct psi on a finite-difference grid (separable, so O(grid * basis) work).
 

@@ -55,6 +55,15 @@ class TestGci:
         assert float(fields["kappa_cutoff"]) == kappa_cutoff(ModelParams(1.0, 1.0))
         assert len(coeffs) == 2 + 13 * 14  # (2m+1)(n+1) coefficient rows
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_psi_exits_numerical(self, tmp_path, capsys):
+        # lambda^2/alpha^2 = 625: the psi dump would hold NaN near theta = pi
+        out = tmp_path / "run"
+        assert main(["gci", "--lambda", "5", "--alpha", "0.2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: reconstruction is not finite")
+        assert not (tmp_path / "run_psi.csv").exists()
+
     def test_even_m_accepted(self, tmp_path):
         # even truncation widths are legitimate (the reference resolutions are even)
         assert main(["gci", "-m", "4", "-n", "9", "--out", str(tmp_path / "x")]) == 0

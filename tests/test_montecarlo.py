@@ -5,14 +5,55 @@ import math
 import numpy as np
 import pytest
 
+from ptwa import montecarlo
 from ptwa.equilibrium import ModelParams
-from ptwa.montecarlo import OracleConfig, feynman_kac_psi, mc_c2, simulate_linear_sde
+from ptwa.montecarlo import OracleConfig, _integrate_sin, _path_rng, feynman_kac_psi, mc_c2
 
 UNIT = ModelParams(1.0, 1.0)
+
+# float.hex of (estimate, std_error, tail) recorded from the per-chunk noise
+# matrix implementation that the streamed kernel replaced; the kernel keeps
+# each element's arithmetic, so these must not move by a bit.
+PINNED = {
+    # lambda = 0.7 is not a power of two, so (t * -lam) * dt differs from t * (-lam * dt)
+    "odd_paths": (
+        OracleConfig(model=ModelParams(0.7, 1.3), dt=5e-3, t_final=15.0, paths=201, seed=5),
+        0.5, 1.0, 0,
+        ("0x1.0cd786e488519p+0", "0x1.508428912fc6cp-3", "0x1.31ab6f108e925p-5"),
+    ),
+    "remainder_chunk": (
+        OracleConfig(model=UNIT, dt=5e-3, t_final=10.0, paths=4101, seed=7), 1.0, -0.5, 0,
+        ("0x1.2eed52c1ad0cap-1", "0x1.6b9dc8bdae5dcp-7", "0x1.ce535a94a2904p-10"),
+    ),
+    "stream_offset": (
+        OracleConfig(model=ModelParams(2.0, 0.5), dt=5e-3, t_final=10.0, paths=300, seed=3),
+        -2.0, 0.8, 1234,
+        ("-0x1.990a4baf00466p+0", "0x1.8c3a05db34f31p-20", "0x1.05ee3d908383dp-14"),
+    ),
+}
 
 
 def quick_cfg(paths=2000, dt=5e-3, t_final=20.0, seed=11):
     return OracleConfig(model=UNIT, dt=dt, t_final=t_final, paths=paths, seed=seed)
+
+
+def simulate_linear_sde(cfg: OracleConfig, theta0: float, kappa0: float, stream=0, sign=1.0):
+    """One scalar Euler-Maruyama trajectory, driven by sign * the noise of `stream`.
+
+    The per-path oracle for the fused kernel: returns (t, theta, kappa) arrays
+    of length n_steps + 1, theta unwrapped.
+    """
+    lam, alpha = cfg.model.lam, cfg.model.alpha
+    n = cfg.n_steps
+    noise = sign * _path_rng(cfg.seed, stream).standard_normal(n) * math.sqrt(2.0 * cfg.dt) * alpha
+    theta = np.empty(n + 1)
+    kappa = np.empty(n + 1)
+    theta[0], kappa[0] = theta0, kappa0
+    for i in range(n):
+        theta[i + 1] = theta[i] + kappa[i] * cfg.dt
+        kappa[i + 1] = kappa[i] - lam * (math.sin(theta[i]) + kappa[i]) * cfg.dt + noise[i]
+    t = cfg.dt * np.arange(n + 1)
+    return t, theta, kappa
 
 
 class TestOracleConfig:
@@ -55,6 +96,40 @@ class TestSimulateLinearSde:
         _, _, kappa = simulate_linear_sde(cfg, 0.0, 0.0)
         burn = len(kappa) // 10
         assert np.var(kappa[burn:]) == pytest.approx(1.0, rel=0.05)
+
+
+class TestFusedKernel:
+    @pytest.mark.filterwarnings("ignore:horizon")  # the lambda=2 case is short; only its bits matter
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_bits(self, case):
+        cfg, theta0, kappa0, offset, expected = PINNED[case]
+        res = feynman_kac_psi(cfg, theta0, kappa0, stream_offset=offset)
+        got = tuple(float.hex(res[k]) for k in ("estimate", "std_error", "tail"))
+        assert got == expected
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        cfg = quick_cfg(paths=21, t_final=10.0)  # 10 pairs, 2000 steps
+        assert cfg.n_steps % 7 != 0
+        ref = feynman_kac_psi(cfg, 0.4, -0.9, stream_offset=5)
+        monkeypatch.setattr(montecarlo, "CHUNK_PAIRS", 3)
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK", 7)
+        monkeypatch.setattr(montecarlo, "ROW_TILE", 2)
+        assert feynman_kac_psi(cfg, 0.4, -0.9, stream_offset=5) == ref
+
+    def test_matches_scalar_oracle(self):
+        cfg = OracleConfig(model=ModelParams(2.0, 0.5), dt=5e-3, t_final=10.0, paths=8, seed=4)
+        offset, pairs = 17, 4
+        integral, tail = _integrate_sin(
+            cfg, 0.6, -1.1, [_path_rng(cfg.seed, offset + p) for p in range(pairs)]
+        )
+        assert integral.shape == tail.shape == (2 * pairs,)
+        for p in range(pairs):
+            for half, sign in ((0, 1.0), (pairs, -1.0)):
+                _, theta, _ = simulate_linear_sde(cfg, 0.6, -1.1, stream=offset + p, sign=sign)
+                s = np.sin(theta)
+                trapezoid = cfg.dt * (0.5 * s[0] + s[1:-1].sum() + 0.5 * s[-1])
+                assert integral[half + p] == pytest.approx(trapezoid, abs=1e-12)
+                assert tail[half + p] == pytest.approx(s[-1], abs=1e-12)
 
 
 class TestFeynmanKacPsi:
@@ -115,6 +190,7 @@ class TestMcC2:
         a = mc_c2(cfg, n_grid_theta=8, n_grid_kappa=4)
         b = mc_c2(cfg, n_grid_theta=8, n_grid_kappa=4)
         assert a == b
+        assert float.hex(a.c2) == "0x1.6b00ab92bd674p-3"  # recorded before the streamed kernel
         assert abs(a.gamma1) > 3.0 * a.gamma1_std_error
         assert float(a) == a.c2
 

@@ -246,6 +246,19 @@ class TestReconstruction:
         w = 2 * math.pi / 512
         assert np.sum(theta_marginal_times_m(x, sp, nodes)) * w == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_weight_raises(self):
+        # at lambda^2/alpha^2 = 625, M(theta) underflows near theta = pi and 1/sqrt(M) is inf
+        sp = SpectralParams(m=30, n=61, model=ModelParams(5.0, 0.2))
+        x = solve_gci(sp)
+        assert math.isfinite(reconstruct_psi(x, sp, 0.3, 0.0))
+        with pytest.raises(FloatingPointError, match="not finite at 1 of 1 points"):
+            reconstruct_psi(x, sp, math.pi, 0.0)
+        with pytest.raises(FloatingPointError, match="not finite at 2 of 3 points"):
+            reconstruct_psi(x, sp, np.array([0.3, 3.0, math.pi]), 0.0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            psi_on_grid(x, sp, Grid2D(16, -1.0, 1.0, 9))
+
     def test_mean_zero_by_quadrature(self, small_solution):
         # <psi>_mu = 0 checked on a product quadrature, independent of the spectral route
         x, sp = small_solution
