@@ -14,42 +14,4 @@ if "PTWA_NUM_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["PTWA_NUM_THREADS"])
 
-from .equilibrium import (
-    DimensionalParams,
-    Equilibrium,
-    ModelParams,
-    c1_coefficient,
-    c1_quadrature,
-    equilibrium_flux,
-    gaussian_pdf,
-    mu_pdf,
-    nondimensionalize,
-    von_mises_pdf,
-    wrap_angle,
-)
-from .grid import Grid2D, GridField, apply_L, apply_Q, dissipation, eval_H, flux_direction, residual_inf
-from .hydro import (
-    HydroCoeffs,
-    HydroState,
-    c2_coefficient,
-    characteristic_speeds,
-    compute_hydro_coeffs,
-    gamma_moments,
-    hyperbolicity_check,
-)
-from .montecarlo import MCC2Result, OracleConfig, feynman_kac_psi, mc_c2
-from .particles import Agents, AgentState, SimConfig, SimStats, collect_stats, run_simulation, step
-from .spectral import (
-    CoeffMatrix,
-    SpectralParams,
-    assemble_rhs,
-    assemble_shift,
-    assemble_system,
-    psi_on_grid,
-    reconstruct_psi,
-    solve_gci,
-    stencil_galerkin_matrix,
-    theta_marginal_times_m,
-)
-
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ it before the numerical libraries start their threads).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ import numpy as np
 
 from .equilibrium import ModelParams, c1_coefficient, kappa_cutoff
 from .grid import Grid2D, residual_inf
-from .hydro import gamma_moments
+from .hydro import compute_hydro_coeffs
 from .montecarlo import OracleConfig, mc_c2
 from .particles import SimConfig, run_simulation
 from .spectral import CoeffMatrix, SpectralParams, psi_on_grid, solve_gci
@@ -91,11 +92,16 @@ def _residual_grid(delta: float) -> Grid2D:
     return Grid2D(n_theta=n_theta, kappa_min=-5.0, kappa_max=5.0, n_kappa=n_kappa)
 
 
+def _config_line(*configs: dict) -> str:
+    """'# config: key=value,...' line; each dict's items sorted by key, dicts in order."""
+    items = ",".join(f"{k}={v}" for config in configs for k, v in sorted(config.items()))
+    return f"# config: {items}\n"
+
+
 def _write_csv(path: str, config: dict, header: str, rows: list[list[float]]) -> None:
     """CSV with a config comment line, a header row, and repr-exact floats."""
-    items = ",".join(f"{k}={v}" for k, v in sorted(config.items()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {items}\n")
+        fh.write(_config_line(config))
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_format(v) for v in row) + "\n")
@@ -114,17 +120,18 @@ def _solve(lam: float, alpha: float, m: int, n: int) -> tuple[CoeffMatrix, Spect
 
 def cmd_gci(args) -> int:
     x, sp = _solve(args.lam, args.alpha, args.m, args.n)
+    # reconstruct before opening either file, so a numerical failure writes nothing
+    field = psi_on_grid(x, sp, _residual_grid(args.delta))
     config = {"lambda": args.lam, "alpha": args.alpha, "m": args.m, "n": args.n}
-    items = ",".join(f"{k}={v}" for k, v in sorted(config.items()))
     coeff_path = f"{args.out}_coeffs.csv"
     psi_path = f"{args.out}_psi.csv"
     with open(coeff_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {items}\n")
+        fh.write(_config_line(config))
         x.to_csv(fh)
-    field = psi_on_grid(x, sp, _residual_grid(args.delta))
     with open(psi_path, "w", encoding="utf-8") as fh:
         # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
-        fh.write(f"# config: {items},delta={args.delta},kappa_cutoff={kappa_cutoff(sp.model)!r}\n")
+        grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
+        fh.write(_config_line(config, grid_config))
         field.to_csv(fh)
     print(f"algebraic residual: {x.residual:.6e}")
     fourier_tail, hermite_tail = x.tail_norms()
@@ -171,7 +178,7 @@ def cmd_residual(args) -> int:
 def cmd_coeffs(args) -> int:
     rows = []
     mc_cfg = None
-    if args.mc_check:
+    if args.mc_check:  # built here so a bad Monte-Carlo setting fails before the first solve
         mc_cfg = OracleConfig(
             model=ModelParams(lam=args.lam, alpha=args.alpha[0]),
             dt=args.mc_dt,
@@ -183,22 +190,15 @@ def cmd_coeffs(args) -> int:
         model = ModelParams(lam=args.lam, alpha=alpha)
         row = [args.lam, alpha, c1_coefficient(model)]
         try:
-            x, sp = _solve(args.lam, alpha, args.m, args.n)
-            g = gamma_moments(x, sp)
-            row += [g["gamma2"] / g["gamma1"], g["gamma1"], g["gamma2"], model.kappa_variance]
+            h = compute_hydro_coeffs(*_solve(args.lam, alpha, args.m, args.n))
+            row += [h.c2, h.gamma1, h.gamma2, h.d]
         except (RuntimeError, ArithmeticError) as exc:
             print(f"alpha={alpha}: degenerate point ({exc}); emitting NaN", file=sys.stderr)
-            row += [math.nan, math.nan, math.nan, model.kappa_variance]
+            row += [math.nan, math.nan, math.nan, model.pressure]
         if args.mc_check:
             try:
                 mc = mc_c2(
-                    OracleConfig(
-                        model=model,
-                        dt=mc_cfg.dt,
-                        t_final=mc_cfg.t_final,
-                        paths=mc_cfg.paths,
-                        seed=mc_cfg.seed,
-                    ),
+                    dataclasses.replace(mc_cfg, model=model),
                     n_grid_theta=args.mc_grid,
                     n_grid_kappa=args.mc_grid,
                 )

@@ -19,15 +19,12 @@ from scipy.special import ive
 
 __all__ = [
     "ModelParams",
-    "DimensionalParams",
     "Equilibrium",
-    "nondimensionalize",
     "von_mises_pdf",
     "gaussian_pdf",
     "mu_pdf",
     "c1_coefficient",
     "c1_quadrature",
-    "equilibrium_flux",
     "wrap_angle",
     "theta_nodes",
     "kappa_cutoff",
@@ -69,19 +66,10 @@ class ModelParams:
         """Stationary curvature variance alpha^2/lambda."""
         return self.alpha**2 / self.lam
 
-
-@dataclass(frozen=True)
-class DimensionalParams:
-    """Dimensional parameters: relaxation frequency a, noise b, speed c, comfort curvature upsilon."""
-
-    a: float
-    b: float
-    c: float
-    upsilon: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0 and self.upsilon > 0):
-            raise ValueError("all dimensional parameters must be strictly positive")
+    @property
+    def pressure(self) -> float:
+        """Pressure coefficient d = alpha^2/lambda^2 of the hydrodynamic limit."""
+        return self.alpha**2 / self.lam**2
 
 
 @dataclass(frozen=True)
@@ -95,13 +83,6 @@ class Equilibrium:
         if self.rho < 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
         object.__setattr__(self, "theta_bar", wrap_angle(self.theta_bar))
-
-
-def nondimensionalize(p: DimensionalParams) -> ModelParams:
-    """Map dimensional parameters to the scaled pair: lam = a/(c*upsilon), alpha = sqrt(b^2/(2 c upsilon^3))."""
-    lam = p.a / (p.c * p.upsilon)
-    alpha = math.sqrt(p.b**2 / (2.0 * p.c * p.upsilon**3))
-    return ModelParams(lam=lam, alpha=alpha)
 
 
 def von_mises_pdf(params: ModelParams, theta):
@@ -132,12 +113,6 @@ def c1_quadrature(params: ModelParams, n_nodes: int = THETA_QUAD_NODES) -> float
     theta = theta_nodes(n_nodes)
     w = 2.0 * math.pi / n_nodes
     return float(np.sum(np.cos(theta) * von_mises_pdf(params, theta)) * w)
-
-
-def equilibrium_flux(eq: Equilibrium, params: ModelParams) -> np.ndarray:
-    """Flux vector of rho * mu_theta_bar: rho c1 (cos theta_bar, sin theta_bar)."""
-    c1 = c1_coefficient(params)
-    return eq.rho * c1 * np.array([math.cos(eq.theta_bar), math.sin(eq.theta_bar)])
 
 
 def theta_nodes(n_nodes: int = THETA_QUAD_NODES) -> np.ndarray:

@@ -18,7 +18,6 @@ from .equilibrium import ModelParams, kappa_cutoff
 __all__ = [
     "Grid2D",
     "GridField",
-    "eval_H",
     "flux_direction",
     "apply_Q",
     "apply_L",
@@ -109,11 +108,6 @@ class GridField:
     def integrate(self, integrand: np.ndarray | None = None) -> float:
         v = self.values if integrand is None else integrand
         return float(np.sum(v * self.quad_weights()))
-
-
-def eval_H(params: ModelParams, theta, kappa):
-    """Hamiltonian of the skew-adjoint part: H(theta, kappa) = -lam cos(theta) + kappa^2/2."""
-    return -params.lam * np.cos(theta) + np.asarray(kappa) ** 2 / 2.0
 
 
 def flux_direction(f: GridField):

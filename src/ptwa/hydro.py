@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, theta_nodes, c1_coefficient
+from .equilibrium import c1_coefficient, theta_nodes
 from .spectral import CoeffMatrix, SpectralParams, assemble_rhs, theta_marginal_times_m
 
 __all__ = [
     "HydroCoeffs",
-    "HydroState",
     "gamma_moments",
     "gamma_moments_spectral",
-    "c2_coefficient",
     "compute_hydro_coeffs",
     "characteristic_speeds",
     "hyperbolicity_check",
@@ -52,22 +50,6 @@ class HydroCoeffs:
             raise ValueError("gamma1 must be nonzero")
 
 
-@dataclass(frozen=True)
-class HydroState:
-    """Macroscopic unknowns: density rho and flux-direction angle theta (Omega = tau(theta))."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-
 def gamma_moments(x: CoeffMatrix, sp: SpectralParams, n_nodes: int = GAMMA_QUAD_NODES) -> dict:
     """gamma1 = <sin psi>_mu and gamma2 = <sin cos psi>_mu by periodic trapezoid.
 
@@ -91,12 +73,6 @@ def gamma_moments_spectral(x: CoeffMatrix, sp: SpectralParams) -> float:
     return float(np.real(np.sum(x.entries[:, 0] * b[:, 0])))
 
 
-def c2_coefficient(x: CoeffMatrix, sp: SpectralParams) -> float:
-    """Convection speed of the direction field: c2 = gamma2 / gamma1."""
-    g = gamma_moments(x, sp)
-    return g["gamma2"] / g["gamma1"]
-
-
 def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:
     """Package (c1, c2, d) with the underlying moments for one parameter point."""
     g = gamma_moments(x, sp)
@@ -104,7 +80,7 @@ def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:
     return HydroCoeffs(
         c1=c1_coefficient(model),
         c2=g["gamma2"] / g["gamma1"],
-        d=model.alpha**2 / model.lam**2,
+        d=model.pressure,
         gamma1=g["gamma1"],
         gamma2=g["gamma2"],
     )

@@ -12,14 +12,13 @@ equilibrium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import ModelParams, wrap_angle
 
 __all__ = [
-    "AgentState",
     "Agents",
     "SimConfig",
     "SimStats",
@@ -43,15 +42,6 @@ INIT_STREAM = 2**62
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """A single agent: position in the periodic box, heading angle, curvature."""
-
-    x: np.ndarray
-    theta: float
-    kappa: float
-
-
-@dataclass(frozen=True)
 class Agents:
     """Column store of agent states: x shape (N, 2), theta and kappa shape (N,)."""
 
@@ -65,9 +55,6 @@ class Agents:
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    def __getitem__(self, i: int) -> AgentState:
-        return AgentState(self.x[i].copy(), float(self.theta[i]), float(self.kappa[i]))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ which is vectorized column-major through sparse Kronecker products (at most
 seven nonzeros per column).  The solution is real and odd under
 (theta, kappa) -> (-theta, -kappa), which fixes every coefficient by one real
 number; the system restricted to that class is real and is solved by one
-sparse LU.  An independent assembly route scatters the 3x3 single-mode stencil
-of L over all basis pairs; the two assemblies must agree entrywise.
+sparse LU.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -33,12 +32,10 @@ from .special import hermite_p_row
 __all__ = [
     "SpectralParams",
     "CoeffMatrix",
-    "assemble_shift",
     "assemble_system",
     "assemble_rhs",
     "assemble_kron_matrix",
     "assemble_symmetry_maps",
-    "stencil_galerkin_matrix",
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
@@ -115,16 +112,10 @@ class CoeffMatrix:
         np.savetxt(path, data, delimiter=",", header="j,k,re,im", comments="", fmt="%.17g")
 
 
-def assemble_shift(size: int, direction: str) -> np.ndarray:
-    """0/1 matrix with ones on the subdiagonal ('sub') or superdiagonal ('super')."""
-    if direction not in ("sub", "super"):
-        raise ValueError(f"direction must be 'sub' or 'super', got {direction!r}")
-    return np.eye(size, k=-1 if direction == "sub" else 1)
-
-
 def assemble_system(sp: SpectralParams) -> dict:
     """Matrices and scalars of the coefficient equation.
 
+    L_{-1} and L_{+1} hold ones on the sub- and superdiagonal;
     M1 = D1 = diag(-m..m), M2 = L_{-1} - L_{+1} (size 2m+1);
     N1 = sqrt(D2) L_{-1} + L_{+1} sqrt(D2), N2 = sqrt(D2) L_{-1} - L_{+1} sqrt(D2),
     D2 = diag(0..n) (size n+1); beta1 = i alpha/sqrt(lam), beta2 = i lam sqrt(lam)/(4 alpha).
@@ -133,11 +124,11 @@ def assemble_system(sp: SpectralParams) -> dict:
     d1 = np.diag(sp.fourier_orders().astype(float))
     d2 = np.diag(np.arange(sp.n + 1, dtype=float))
     sqrt_d2 = np.sqrt(d2)
-    l_sub = assemble_shift(sp.n_hermite, "sub")
-    l_super = assemble_shift(sp.n_hermite, "super")
+    l_sub = np.eye(sp.n_hermite, k=-1)
+    l_super = np.eye(sp.n_hermite, k=1)
     return {
         "M1": d1,
-        "M2": assemble_shift(sp.n_fourier, "sub") - assemble_shift(sp.n_fourier, "super"),
+        "M2": np.eye(sp.n_fourier, k=-1) - np.eye(sp.n_fourier, k=1),
         "N1": sqrt_d2 @ l_sub + l_super @ sqrt_d2,
         "N2": sqrt_d2 @ l_sub - l_super @ sqrt_d2,
         "D2": d2,
@@ -192,46 +183,6 @@ def assemble_symmetry_maps(sp: SpectralParams) -> tuple[sps.csc_matrix, sps.csc_
     )
     restrict = sps.csc_matrix((np.conj(phase), (cols, m + j + nf * k)), shape=(j.size, sp.size))
     return expand, restrict
-
-
-def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
-    """Galerkin operator assembled mode by mode from the 3x3 stencil of L.
-
-    Applying L to a single basis function phi_j P_k produces seven neighbor
-    modes; each contribution is scattered into the big matrix indexed
-    column-major: flat index = (j + m) + (2m+1) * k.  Independent oracle for
-    the Kronecker assembly (same index convention, built without any matrix
-    product).
-    """
-    lam, alpha = sp.model.lam, sp.model.alpha
-    beta1 = 1j * alpha / math.sqrt(lam)
-    beta2 = 1j * lam * math.sqrt(lam) / (4.0 * alpha)
-    m, n = sp.m, sp.n
-    size = sp.size
-    a = np.zeros((size, size), dtype=complex)
-
-    def flat(j: int, k: int) -> int:
-        return (j + m) + (2 * m + 1) * k
-
-    for j in range(-m, m + 1):
-        for k in range(0, n + 1):
-            col = flat(j, k)
-            sq_k = math.sqrt(k)
-            sq_k1 = math.sqrt(k + 1)
-            # contributions of L(phi_j P_k), dropped when they leave the truncation
-            targets = [
-                (j, k, -lam * k),
-                (j, k - 1, beta1 * j * sq_k),
-                (j, k + 1, beta1 * j * sq_k1),
-                (j + 1, k - 1, beta2 * sq_k),
-                (j - 1, k - 1, -beta2 * sq_k),
-                (j - 1, k + 1, beta2 * sq_k1),
-                (j + 1, k + 1, -beta2 * sq_k1),
-            ]
-            for tj, tk, coeff in targets:
-                if -m <= tj <= m and 0 <= tk <= n and coeff != 0:
-                    a[flat(tj, tk), col] += coeff
-    return a
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 import scipy.stats
+from galerkin_oracle import stencil_galerkin_matrix
 
 from ptwa.equilibrium import (
     Equilibrium,
@@ -31,7 +32,6 @@ from ptwa.spectral import (
     psi_on_grid,
     reconstruct_psi,
     solve_gci,
-    stencil_galerkin_matrix,
 )
 
 UNIT = ModelParams(1.0, 1.0)

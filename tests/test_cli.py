@@ -63,6 +63,7 @@ class TestGci:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: reconstruction is not finite")
         assert not (tmp_path / "run_psi.csv").exists()
+        assert not (tmp_path / "run_coeffs.csv").exists()
 
     def test_even_m_accepted(self, tmp_path):
         # even truncation widths are legitimate (the reference resolutions are even)
@@ -128,6 +129,57 @@ class TestCoeffs:
             assert c1 == pytest.approx(c1_coefficient(ModelParams(lam, alpha)), rel=1e-12)
             assert d == pytest.approx(alpha**2 / lam**2)
             assert c2 == pytest.approx(g2 / g1, rel=1e-12)
+
+    def test_d_column_away_from_unit_lambda(self, tmp_path):
+        # at lambda = 2 the pressure alpha^2/lambda^2 differs from the curvature variance alpha^2/lambda
+        out = tmp_path / "c.csv"
+        code = main(
+            ["coeffs", "--lambda", "2", "--alpha-range", "0.5,1", "-m", "6", "-n", "13",
+             "--out", str(out)]
+        )
+        assert code == 0
+        for row in read_lines(out)[2:]:
+            lam, alpha, *_, d = (float(v) for v in row.split(","))
+            assert d == alpha**2 / lam**2
+
+    def test_degenerate_point_row(self, tmp_path, capsys):
+        # at lambda = 200, alpha = 1 the (6, 13) solve has gamma1 = 0: the moments are NaN
+        from ptwa.equilibrium import c1_coefficient
+
+        out = tmp_path / "c.csv"
+        code = main(
+            ["coeffs", "--lambda", "200", "--alpha-range", "1", "-m", "6", "-n", "13",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "degenerate point" in capsys.readouterr().err
+        lam, alpha, c1, c2, g1, g2, d = (float(v) for v in read_lines(out)[2].split(","))
+        assert c1 == c1_coefficient(ModelParams(lam, alpha))
+        assert all(math.isnan(v) for v in (c2, g1, g2))
+        assert d == alpha**2 / lam**2
+
+    def test_mc_check_columns(self, tmp_path):
+        from ptwa.montecarlo import OracleConfig, mc_c2
+
+        out = tmp_path / "c.csv"
+        mc_flags = ["--mc-check", "--mc-paths", "200", "--mc-tfinal", "15", "--mc-grid", "4",
+                    "--seed", "5"]
+        code = main(
+            ["coeffs", "--lambda", "0.7", "--alpha-range", "0.6,1.3", "-m", "6", "-n", "13",
+             *mc_flags, "--out", str(out)]
+        )
+        assert code == 0
+        lines = read_lines(out)
+        assert lines[1] == "lambda,alpha,c1,c2,gamma1,gamma2,d,mc_c2,mc_stderr"
+        for row in lines[2:]:
+            lam, alpha, *_, c2_mc, se_mc = (float(v) for v in row.split(","))
+            cfg = OracleConfig(ModelParams(lam, alpha), dt=5e-3, t_final=15.0, paths=200, seed=5)
+            mc = mc_c2(cfg, n_grid_theta=4, n_grid_kappa=4)
+            assert (c2_mc, se_mc) == (mc.c2, mc.std_error)
+        # an invalid Monte-Carlo setting is a configuration error
+        code = main(["coeffs", "--alpha-range", "1", "--mc-check", "--mc-dt", "0.5",
+                     "--out", str(tmp_path / "bad.csv")])
+        assert code == 1
 
 
 class TestSimulate:

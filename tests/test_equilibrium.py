@@ -8,15 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwa.equilibrium import (
-    DimensionalParams,
-    Equilibrium,
     ModelParams,
     c1_coefficient,
     c1_quadrature,
-    equilibrium_flux,
     gaussian_pdf,
     mu_pdf,
-    nondimensionalize,
     von_mises_pdf,
     wrap_angle,
 )
@@ -35,22 +31,7 @@ class TestModelParams:
         p = ModelParams(lam=2.0, alpha=0.5)
         assert p.concentration == pytest.approx(16.0)
         assert p.kappa_variance == pytest.approx(0.125)
-
-
-class TestNondimensionalize:
-    @pytest.mark.parametrize(
-        "a,b,c,upsilon,lam,alpha",
-        [
-            (1.0, math.sqrt(2.0), 1.0, 1.0, 1.0, 1.0),
-            (2.0, math.sqrt(2.0), 1.0, 1.0, 2.0, 1.0),
-            (1.0, 2.0, 2.0, 1.0, 0.5, 1.0),
-        ],
-    )
-    def test_examples(self, a, b, c, upsilon, lam, alpha):
-        # lam = a/(c upsilon), alpha^2 = b^2/(2 c upsilon^3)
-        p = nondimensionalize(DimensionalParams(a=a, b=b, c=c, upsilon=upsilon))
-        assert p.lam == pytest.approx(lam)
-        assert p.alpha == pytest.approx(alpha)
+        assert p.pressure == pytest.approx(0.0625)
 
 
 class TestWrapAngle:
@@ -145,18 +126,3 @@ class TestLargeConcentration:
         th = np.linspace(-math.pi, math.pi, nodes + 1)[:-1]
         assert np.sum(von_mises_pdf(p, th)) * (2.0 * math.pi / nodes) == pytest.approx(1.0, abs=1e-10)
         assert c1_quadrature(p, nodes) == pytest.approx(c1_coefficient(p), abs=1e-10)
-
-
-class TestEquilibriumFlux:
-    def test_zero_density(self):
-        p = ModelParams(1.0, 1.0)
-        assert equilibrium_flux(Equilibrium(rho=0.0, theta_bar=1.0), p) == pytest.approx((0.0, 0.0))
-
-    def test_oriented_flux(self):
-        p = ModelParams(1.0, 1.0)
-        jx, jy = equilibrium_flux(Equilibrium(rho=1.0, theta_bar=0.0), p)
-        assert jx == pytest.approx(0.4463900, abs=1e-6)
-        assert jy == pytest.approx(0.0, abs=1e-12)
-        jx, jy = equilibrium_flux(Equilibrium(rho=2.0, theta_bar=math.pi / 2), p)
-        assert jx == pytest.approx(0.0, abs=1e-12)
-        assert jy == pytest.approx(0.8927800, abs=2e-6)

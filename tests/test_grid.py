@@ -12,7 +12,6 @@ from ptwa.grid import (
     apply_L,
     apply_Q,
     dissipation,
-    eval_H,
     flux_direction,
     residual_inf,
 )
@@ -43,13 +42,6 @@ class TestGrid2D:
         mask = g.interior_mask()
         assert not mask[:, 0].any() and not mask[:, -1].any()
         assert mask[:, 1:-1].all()
-
-
-class TestEvalH:
-    def test_values(self):
-        assert eval_H(ModelParams(1.0, 1.0), 0.0, 0.0) == pytest.approx(-1.0)
-        assert eval_H(ModelParams(1.0, 1.0), math.pi, 0.0) == pytest.approx(1.0)
-        assert eval_H(ModelParams(2.0, 1.0), math.pi / 2, 2.0) == pytest.approx(2.0)
 
 
 class TestFluxDirection:

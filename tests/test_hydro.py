@@ -8,8 +8,6 @@ import pytest
 from ptwa.equilibrium import ModelParams, c1_coefficient
 from ptwa.hydro import (
     HydroCoeffs,
-    HydroState,
-    c2_coefficient,
     characteristic_speeds,
     compute_hydro_coeffs,
     gamma_moments,
@@ -31,12 +29,6 @@ class TestHydroTypes:
             HydroCoeffs(c1=0.5, c2=0.1, d=-1.0, gamma1=0.5, gamma2=0.05)
         with pytest.raises(ValueError):
             HydroCoeffs(c1=0.5, c2=0.1, d=1.0, gamma1=0.0, gamma2=0.05)
-        with pytest.raises(ValueError):
-            HydroState(rho=-1.0, theta=0.0)
-
-    def test_omega(self):
-        s = HydroState(rho=1.0, theta=math.pi / 2)
-        assert s.omega == pytest.approx([0.0, 1.0])
 
 
 class TestGammaMoments:
@@ -71,11 +63,11 @@ class TestGammaMoments:
 class TestC2:
     def test_reference_value(self, medium_solution):
         x, sp = medium_solution
-        assert c2_coefficient(x, sp) == pytest.approx(0.181306, abs=1e-5)
+        assert compute_hydro_coeffs(x, sp).c2 == pytest.approx(0.181306, abs=1e-5)
 
     def test_truncation_convergence(self, small_solution, medium_solution):
-        a = c2_coefficient(*small_solution)
-        b = c2_coefficient(*medium_solution)
+        a = compute_hydro_coeffs(*small_solution).c2
+        b = compute_hydro_coeffs(*medium_solution).c2
         assert a == pytest.approx(b, rel=0.01)
 
 

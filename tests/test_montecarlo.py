@@ -7,6 +7,7 @@ import pytest
 
 from ptwa import montecarlo
 from ptwa.equilibrium import ModelParams
+from ptwa.hydro import compute_hydro_coeffs
 from ptwa.montecarlo import OracleConfig, _integrate_sin, _path_rng, feynman_kac_psi, mc_c2
 
 UNIT = ModelParams(1.0, 1.0)
@@ -195,10 +196,8 @@ class TestMcC2:
         assert float(a) == a.c2
 
     def test_close_to_spectral(self, medium_solution):
-        from ptwa.hydro import c2_coefficient
-
         x, sp = medium_solution
         cfg = quick_cfg(paths=2000, t_final=40.0, seed=29)
         res = mc_c2(cfg, n_grid_theta=12, n_grid_kappa=6)
-        ref = c2_coefficient(x, sp)
+        ref = compute_hydro_coeffs(x, sp).c2
         assert res.c2 == pytest.approx(ref, rel=0.15)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from galerkin_oracle import stencil_galerkin_matrix
 
 from ptwa.equilibrium import ModelParams, mu_pdf, theta_nodes, von_mises_pdf
 from ptwa.grid import Grid2D, residual_inf
@@ -14,14 +15,12 @@ from ptwa.spectral import (
     _constant_coefficients,
     assemble_kron_matrix,
     assemble_rhs,
-    assemble_shift,
     assemble_symmetry_maps,
     assemble_system,
     mu_mean,
     psi_on_grid,
     reconstruct_psi,
     solve_gci,
-    stencil_galerkin_matrix,
     theta_marginal_times_m,
 )
 
@@ -46,20 +45,6 @@ class TestSpectralParams:
             SpectralParams(m=3, n=0, model=UNIT)
 
 
-class TestAssembleShift:
-    def test_size_one(self):
-        assert assemble_shift(1, "sub").tolist() == [[0.0]]
-
-    def test_sub_and_super(self):
-        sub = assemble_shift(3, "sub")
-        assert sub.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-        assert np.array_equal(assemble_shift(3, "super"), sub.T)
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError):
-            assemble_shift(3, "left")
-
-
 class TestAssembleSystem:
     def test_betas(self):
         s = assemble_system(SpectralParams(m=2, n=3, model=UNIT))
@@ -74,11 +59,15 @@ class TestAssembleSystem:
         assert np.array_equal(np.diag(s["M1"]), [-1.0, 0.0, 1.0])
         assert np.array_equal(np.diag(s["D2"]), [0.0, 1.0, 2.0])
 
+    def test_m2_is_sub_minus_super_shift(self):
+        s = assemble_system(SpectralParams(m=1, n=2, model=UNIT))
+        assert s["M2"].tolist() == [[0, -1, 0], [1, 0, -1], [0, 1, 0]]
+
     def test_n_matrices(self):
         s = assemble_system(SpectralParams(m=1, n=2, model=UNIT))
         sq = np.sqrt(np.diag([0.0, 1.0, 2.0]))
-        l_sub = assemble_shift(3, "sub")
-        l_super = assemble_shift(3, "super")
+        l_sub = np.eye(3, k=-1)
+        l_super = np.eye(3, k=1)
         assert np.allclose(s["N1"], sq @ l_sub + l_super @ sq)
         assert np.allclose(s["N2"], sq @ l_sub - l_super @ sq)
 
