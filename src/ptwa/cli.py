@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -66,16 +67,23 @@ def _positive_int(text: str) -> int:
 
 
 def _value_list(text: str) -> list[float]:
-    """Parse '0.5,1,2' or 'start:stop:step' into an ordered list of values."""
+    """Parse '0.5,1,2' or 'start:stop:step' into an ordered list of values.
+
+    A range is stepped in exact decimal arithmetic on the flag text, so
+    0.4:1.0:0.2 gives 0.4, 0.6, 0.8, 1.0 and not 0.6000000000000001.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0.0:
-            raise argparse.ArgumentTypeError(f"range step must be positive, got {step}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(count)]
+        try:
+            start, stop, step = (Decimal(p) for p in parts)
+            if step <= 0:
+                raise argparse.ArgumentTypeError(f"range step must be positive, got {step}")
+            count = math.floor((stop - start) / step) + 1
+        except (ArithmeticError, ValueError):  # a non-numeric, NaN or infinite part
+            raise argparse.ArgumentTypeError(f"range needs finite numbers, got {text!r}") from None
+        values = [float(start + i * step) for i in range(count)]
     else:
         values = [float(p) for p in text.split(",") if p]
     if not values:
@@ -92,17 +100,14 @@ def _residual_grid(delta: float) -> Grid2D:
     return Grid2D(n_theta=n_theta, kappa_min=-5.0, kappa_max=5.0, n_kappa=n_kappa)
 
 
-def _config_line(*configs: dict) -> str:
-    """'# config: key=value,...' line; each dict's items sorted by key, dicts in order."""
+def _write_csv(path: str, header: str, rows, *configs: dict) -> None:
+    """CSV with a '# config: key=value,...' line, a header row, and repr-exact floats.
+
+    The config line holds each dict's items sorted by key, the dicts in order.
+    """
     items = ",".join(f"{k}={v}" for config in configs for k, v in sorted(config.items()))
-    return f"# config: {items}\n"
-
-
-def _write_csv(path: str, config: dict, header: str, rows: list[list[float]]) -> None:
-    """CSV with a config comment line, a header row, and repr-exact floats."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_config_line(config))
-        fh.write(header + "\n")
+        fh.write(f"# config: {items}\n{header}\n")
         for row in rows:
             fh.write(",".join(_format(v) for v in row) + "\n")
 
@@ -120,19 +125,19 @@ def _solve(lam: float, alpha: float, m: int, n: int) -> tuple[CoeffMatrix, Spect
 
 def cmd_gci(args) -> int:
     x, sp = _solve(args.lam, args.alpha, args.m, args.n)
+    grid = _residual_grid(args.delta)
     # reconstruct before opening either file, so a numerical failure writes nothing
-    field = psi_on_grid(x, sp, _residual_grid(args.delta))
+    field = psi_on_grid(x, sp, grid)
     config = {"lambda": args.lam, "alpha": args.alpha, "m": args.m, "n": args.n}
     coeff_path = f"{args.out}_coeffs.csv"
     psi_path = f"{args.out}_psi.csv"
-    with open(coeff_path, "w", encoding="utf-8") as fh:
-        fh.write(_config_line(config))
-        x.to_csv(fh)
-    with open(psi_path, "w", encoding="utf-8") as fh:
-        # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
-        grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
-        fh.write(_config_line(config, grid_config))
-        field.to_csv(fh)
+    coeff_rows = [[j - sp.m, k, c.real, c.imag] for (j, k), c in np.ndenumerate(x.entries)]
+    _write_csv(coeff_path, "j,k,re,im", coeff_rows, config)
+    th, ka = grid.meshgrid()
+    psi_rows = zip(th.ravel(), ka.ravel(), field.values.ravel())
+    # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
+    grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
+    _write_csv(psi_path, "theta,kappa,value", psi_rows, config, grid_config)
     print(f"algebraic residual: {x.residual:.6e}")
     fourier_tail, hermite_tail = x.tail_norms()
     print(f"spectral tail: |j|=m shells {fourier_tail:.6e}, k=n column {hermite_tail:.6e}")
@@ -154,7 +159,7 @@ def cmd_residual(args) -> int:
         "n": args.n,
         "delta": args.delta,
     }
-    _write_csv(args.out, config, "lambda,alpha,residual_inf", rows)
+    _write_csv(args.out, "lambda,alpha,residual_inf", rows, config)
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.check:
         table = {(r[0], r[1]): r[2] for r in rows}
@@ -218,7 +223,7 @@ def cmd_coeffs(args) -> int:
         "mc_check": args.mc_check,
         "seed": args.seed,
     }
-    _write_csv(args.out, config, header, rows)
+    _write_csv(args.out, header, rows, config)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -267,10 +272,10 @@ def cmd_simulate(args) -> int:
     stats_rows = [
         [t, s.order_parameter, s.mean_direction, s.curvature_variance] for t, s in history
     ]
-    _write_csv(args.out, config, "t,order_parameter,mean_direction,curvature_variance", stats_rows)
+    _write_csv(args.out, "t,order_parameter,mean_direction,curvature_variance", stats_rows, config)
     print(f"wrote {args.out} ({len(stats_rows)} rows)")
     if args.traj:
-        _write_csv(args.traj, config, "t,agent_id,x1,x2,theta,kappa", traj_rows)
+        _write_csv(args.traj, "t,agent_id,x1,x2,theta,kappa", traj_rows, config)
         print(f"wrote {args.traj} ({len(traj_rows)} rows)")
     final = history[-1][1]
     c1 = c1_coefficient(cfg.model)
@@ -282,14 +287,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_model_flags(parser, m_default: int, n_default: int) -> None:
-    parser.add_argument("--lambda", dest="lam", type=_positive, default=1.0,
-                        help="relaxation rate (positive)")
-    parser.add_argument("--alpha", type=_positive, default=1.0,
-                        help="noise intensity (positive)")
-    parser.add_argument("-m", type=_positive_int, default=m_default,
+def _add_truncation_flags(parser) -> None:
+    parser.add_argument("-m", type=_positive_int, default=30,
                         help="Fourier half-width of the truncation")
-    parser.add_argument("-n", type=_positive_int, default=n_default,
+    parser.add_argument("-n", type=_positive_int, default=61,
                         help="Hermite degree of the truncation")
 
 
@@ -298,7 +299,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gci", help="solve the generalized collisional invariant")
-    _add_model_flags(p, 30, 61)
+    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0,
+                   help="relaxation rate (positive)")
+    p.add_argument("--alpha", type=_positive, default=1.0, help="noise intensity (positive)")
+    _add_truncation_flags(p)
     p.add_argument("--delta", type=_positive, default=0.2, help="grid spacing for the psi dump")
     p.add_argument("--out", default="gci", help="output prefix (<out>_coeffs.csv, <out>_psi.csv)")
     p.set_defaults(func=cmd_gci)
@@ -308,8 +312,7 @@ def build_parser() -> _Parser:
                    help="comma list or start:stop:step range of lambda values")
     p.add_argument("--alpha", type=_value_list, default=[0.5, 1.0, 2.0],
                    help="comma list or start:stop:step range of alpha values")
-    p.add_argument("-m", type=_positive_int, default=30)
-    p.add_argument("-n", type=_positive_int, default=61)
+    _add_truncation_flags(p)
     p.add_argument("--delta", type=_positive, default=0.2, help="finite-difference spacing")
     p.add_argument("--check", action="store_true",
                    help="exit 2 unless the residual increases with lambda and decreases with alpha")
@@ -320,8 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_positive, default=1.0)
     p.add_argument("--alpha-range", dest="alpha", type=_value_list, required=True,
                    help="start:stop:step range (or comma list) of alpha values")
-    p.add_argument("-m", type=_positive_int, default=30)
-    p.add_argument("-n", type=_positive_int, default=61)
+    _add_truncation_flags(p)
     p.add_argument("--mc-check", action="store_true",
                    help="append Monte-Carlo c2 and its standard error to each row")
     p.add_argument("--mc-paths", type=_positive_int, default=20000)

@@ -92,12 +92,6 @@ class GridField:
         th, ka = grid.meshgrid()
         return cls(grid, fn(th, ka))
 
-    def to_csv(self, path) -> None:
-        """Columns theta, kappa, value; row-major in theta."""
-        th, ka = self.grid.meshgrid()
-        data = np.column_stack([th.ravel(), ka.ravel(), self.values.ravel()])
-        np.savetxt(path, data, delimiter=",", header="theta,kappa,value", comments="", fmt="%.17g")
-
     def quad_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights (periodic in theta, trapezoid in kappa)."""
         wk = np.full(self.grid.n_kappa, self.grid.d_kappa)

@@ -160,9 +160,6 @@ class MCC2Result:
     gamma2: float
     gamma2_std_error: float
 
-    def __float__(self) -> float:
-        return self.c2
-
 
 def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result:
     """Convection coefficient c2 = <sin cos psi>_mu / <sin psi>_mu from Monte-Carlo psi.

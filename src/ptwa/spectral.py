@@ -32,7 +32,6 @@ from .special import hermite_p_row
 __all__ = [
     "SpectralParams",
     "CoeffMatrix",
-    "assemble_system",
     "assemble_rhs",
     "assemble_kron_matrix",
     "assemble_symmetry_maps",
@@ -102,40 +101,6 @@ class CoeffMatrix:
         oddness = float(np.max(np.abs(flipped + signs[None, :] * x)))
         return reality, oddness
 
-    def to_csv(self, path) -> None:
-        """Columns j, k, re, im."""
-        m = (self.entries.shape[0] - 1) // 2
-        j, k = np.meshgrid(np.arange(-m, m + 1), np.arange(self.entries.shape[1]), indexing="ij")
-        data = np.column_stack(
-            [j.ravel(), k.ravel(), self.entries.real.ravel(), self.entries.imag.ravel()]
-        )
-        np.savetxt(path, data, delimiter=",", header="j,k,re,im", comments="", fmt="%.17g")
-
-
-def assemble_system(sp: SpectralParams) -> dict:
-    """Matrices and scalars of the coefficient equation.
-
-    L_{-1} and L_{+1} hold ones on the sub- and superdiagonal;
-    M1 = D1 = diag(-m..m), M2 = L_{-1} - L_{+1} (size 2m+1);
-    N1 = sqrt(D2) L_{-1} + L_{+1} sqrt(D2), N2 = sqrt(D2) L_{-1} - L_{+1} sqrt(D2),
-    D2 = diag(0..n) (size n+1); beta1 = i alpha/sqrt(lam), beta2 = i lam sqrt(lam)/(4 alpha).
-    """
-    lam, alpha = sp.model.lam, sp.model.alpha
-    d1 = np.diag(sp.fourier_orders().astype(float))
-    d2 = np.diag(np.arange(sp.n + 1, dtype=float))
-    sqrt_d2 = np.sqrt(d2)
-    l_sub = np.eye(sp.n_hermite, k=-1)
-    l_super = np.eye(sp.n_hermite, k=1)
-    return {
-        "M1": d1,
-        "M2": np.eye(sp.n_fourier, k=-1) - np.eye(sp.n_fourier, k=1),
-        "N1": sqrt_d2 @ l_sub + l_super @ sqrt_d2,
-        "N2": sqrt_d2 @ l_sub - l_super @ sqrt_d2,
-        "D2": d2,
-        "beta1": 1j * alpha / math.sqrt(lam),
-        "beta2": 1j * lam * math.sqrt(lam) / (4.0 * alpha),
-    }
-
 
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     """Basis coefficients of -sin(theta): nonzero only in the Hermite-degree-0 column.
@@ -151,13 +116,23 @@ def assemble_rhs(sp: SpectralParams) -> np.ndarray:
 
 
 def assemble_kron_matrix(sp: SpectralParams) -> sps.csc_matrix:
-    """Sparse operator on vec(X) (column-major): beta1 kron(N1^T, M1) + beta2 kron(N2^T, M2) - lam kron(D2, Id)."""
-    s = assemble_system(sp)
-    eye = sps.identity(sp.n_fourier)
+    """Sparse operator on vec(X) (column-major) of the coefficient equation.
+
+    beta1 kron(N1^T, M1) + beta2 kron(N2^T, M2) - lam kron(D2, Id) with
+    M1 = diag(-m..m) and M2 = L_{-1} - L_{+1} (size 2m+1; L_{-1} and L_{+1}
+    hold ones on the sub- and superdiagonal), D2 = diag(0..n), N1 = U + U^T
+    and N2 = U^T - U with U = L_{+1} sqrt(D2) (size n+1), so N1^T = N1 and
+    N2^T = U - U^T; beta1 = i alpha/sqrt(lam) and beta2 = i lam sqrt(lam)/(4 alpha).
+    """
+    lam, alpha = sp.model.lam, sp.model.alpha
+    u = np.diag(np.sqrt(np.arange(1.0, sp.n + 1)), k=1)
+    m1 = np.diag(sp.fourier_orders().astype(float))
+    m2 = np.eye(sp.n_fourier, k=-1) - np.eye(sp.n_fourier, k=1)
+    d2 = np.diag(np.arange(sp.n + 1.0))
     return (
-        s["beta1"] * sps.kron(s["N1"].T, s["M1"], format="csc")
-        + s["beta2"] * sps.kron(s["N2"].T, s["M2"], format="csc")
-        - sp.model.lam * sps.kron(s["D2"], eye, format="csc")
+        1j * alpha / math.sqrt(lam) * sps.kron(u + u.T, m1, format="csc")
+        + 1j * lam * math.sqrt(lam) / (4.0 * alpha) * sps.kron(u - u.T, m2, format="csc")
+        - lam * sps.kron(d2, sps.identity(sp.n_fourier), format="csc")
     )
 
 
@@ -222,40 +197,28 @@ def mu_mean(x: CoeffMatrix, sp: SpectralParams) -> float:
     return float(np.real(np.sum(np.conj(ones) * x.entries)))
 
 
-def _fourier_rows(sp: SpectralParams, theta) -> np.ndarray:
-    """phi_j(theta) for j = -m..m, shape theta.shape + (2m+1,)."""
-    theta = np.asarray(theta, dtype=float)
-    j = sp.fourier_orders()
-    phase = np.exp(1j * theta[..., None] * j)
-    weight = 1.0 / np.sqrt(2.0 * math.pi * von_mises_pdf(sp.model, theta))
-    return phase * weight[..., None]
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _check_real
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _real
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     """Evaluate psi(theta, kappa) = sum_jk C_j^k phi_j(theta) P_k(kappa).
 
     The values are psi only where |kappa| <= kappa_cutoff(sp.model); beyond it
     the truncated series is round-off amplified by the top Hermite degrees and
     by 1/sqrt(M(theta)) (see psi_on_grid).  Accepts scalars or broadcastable
-    arrays; raises ValueError if the imaginary residue exceeds 1e-8 * (|real| + 1)
-    and FloatingPointError if any value is not finite (near theta = pi once
-    M(theta) underflows, lambda^2/alpha^2 above about 372).
+    arrays: the Fourier sum runs over theta's own shape and the Hermite rows
+    over kappa's, and only their contraction broadcasts.  Raises ValueError if
+    the imaginary residue exceeds 1e-8 * (|real| + 1) and FloatingPointError
+    if any value is not finite (near theta = pi once M(theta) underflows,
+    lambda^2/alpha^2 above about 372).
     """
     theta = np.asarray(theta, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    theta_b, kappa_b = np.broadcast_arrays(theta, kappa)
-    phi = _fourier_rows(sp, theta_b)
-    p = hermite_p_row(sp.n, sp.model.lam, sp.model.alpha, kappa_b)
-    vals = np.einsum("...j,jk,...k->...", phi, x.entries, p)
-    _check_real(vals)
-    out = np.real(vals)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    s = np.exp(1j * theta[..., None] * sp.fourier_orders()) @ x.entries  # theta.shape + (n+1,)
+    p = hermite_p_row(sp.n, sp.model.lam, sp.model.alpha, kappa)  # kappa.shape + (n+1,)
+    weight = np.sqrt(2.0 * math.pi * von_mises_pdf(sp.model, theta))
+    return _real(np.einsum("...k,...k->...", s, p) / weight)
 
 
-def _check_real(vals: np.ndarray) -> None:
+def _real(vals: np.ndarray):
+    """Real part of reconstructed values, a float when 0-d; raises on non-finite or non-real values."""
     n_bad = np.size(vals) - np.count_nonzero(np.isfinite(vals))
     if n_bad:
         raise FloatingPointError(
@@ -266,9 +229,10 @@ def _check_real(vals: np.ndarray) -> None:
     if np.any(bad):
         worst = float(np.max(np.abs(np.imag(vals))))
         raise ValueError(f"reconstruction has non-real residue {worst:.3e}")
+    out = np.real(vals)
+    return float(out) if out.ndim == 0 else out
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _check_real
 def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
     """Reconstruct psi on a finite-difference grid (separable, so O(grid * basis) work).
 
@@ -277,11 +241,7 @@ def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
     coefficient round-off is amplified by the top Hermite degrees and by
     1/sqrt(M(theta)).  grid.residual_inf takes its sup inside the cutoff.
     """
-    phi = _fourier_rows(sp, grid.theta)  # (n_theta, 2m+1)
-    p = hermite_p_row(sp.n, sp.model.lam, sp.model.alpha, grid.kappa)  # (n_kappa, n+1)
-    vals = phi @ x.entries @ p.T
-    _check_real(vals)
-    return GridField(grid, np.real(vals))
+    return GridField(grid, reconstruct_psi(x, sp, grid.theta[:, None], grid.kappa))
 
 
 def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):
@@ -298,9 +258,4 @@ def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):
     j = sp.fourier_orders()
     phase = np.exp(1j * theta[..., None] * j)
     weight = np.sqrt(von_mises_pdf(sp.model, theta) / (2.0 * math.pi))
-    vals = (phase @ x.entries[:, 0]) * weight
-    _check_real(vals)
-    out = np.real(vals)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _real((phase @ x.entries[:, 0]) * weight)

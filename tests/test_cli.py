@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import ptwa
-from ptwa.cli import main
+from ptwa.cli import _value_list, main
 from ptwa.equilibrium import ModelParams, kappa_cutoff
+from ptwa.grid import Grid2D
+from ptwa.spectral import SpectralParams, psi_on_grid, solve_gci
 
 
 def read_lines(path):
@@ -31,6 +33,14 @@ class TestUsageErrors:
 
     def test_bad_range_spec(self):
         assert main(["residual", "--lambda", "1:2"]) == 1
+
+    def test_non_numeric_range(self):
+        assert main(["residual", "--lambda", "a:b:c"]) == 1
+
+
+def test_range_values_are_the_decimal_ones():
+    # stepped in binary floating point this range held 0.6000000000000001
+    assert _value_list("0.4:1.0:0.2") == [0.4, 0.6, 0.8, 1.0]
 
 
 class TestGci:
@@ -64,6 +74,23 @@ class TestGci:
         assert len(err) == 1 and err[0].startswith("numerical failure: reconstruction is not finite")
         assert not (tmp_path / "run_psi.csv").exists()
         assert not (tmp_path / "run_coeffs.csv").exists()
+
+    def test_files_hold_the_solved_values(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["gci", "--lambda", "1.5", "--alpha", "0.8", "-m", "6", "-n", "13", "--delta", "0.5"]
+        assert main([*argv, "--out", str(out)]) == 0
+        sp = SpectralParams(m=6, n=13, model=ModelParams(1.5, 0.8))
+        x = solve_gci(sp)
+        coeffs = np.loadtxt(tmp_path / "run_coeffs.csv", delimiter=",", skiprows=2)
+        j, k = np.meshgrid(sp.fourier_orders(), np.arange(sp.n_hermite), indexing="ij")
+        assert np.array_equal(coeffs[:, :2], np.column_stack([j.ravel(), k.ravel()]))
+        shape = x.entries.shape
+        assert coeffs[:, 2].reshape(shape).tobytes() == x.entries.real.tobytes()
+        assert coeffs[:, 3].reshape(shape).tobytes() == x.entries.imag.tobytes()
+        grid = Grid2D(n_theta=13, kappa_min=-5.0, kappa_max=5.0, n_kappa=21)  # delta 0.5
+        psi = np.loadtxt(tmp_path / "run_psi.csv", delimiter=",", skiprows=2)
+        assert psi[:, 2].reshape(13, 21).tobytes() == psi_on_grid(x, sp, grid).values.tobytes()
+        assert np.array_equal(psi[:, :2], np.column_stack([a.ravel() for a in grid.meshgrid()]))
 
     def test_even_m_accepted(self, tmp_path):
         # even truncation widths are legitimate (the reference resolutions are even)

@@ -1,10 +1,12 @@
 """Fourier x Hermite Galerkin solver for the collisional invariant."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from galerkin_oracle import stencil_galerkin_matrix
+from numpy.polynomial.hermite_e import hermeval
 
 from ptwa.equilibrium import ModelParams, mu_pdf, theta_nodes, von_mises_pdf
 from ptwa.grid import Grid2D, residual_inf
@@ -16,7 +18,6 @@ from ptwa.spectral import (
     assemble_kron_matrix,
     assemble_rhs,
     assemble_symmetry_maps,
-    assemble_system,
     mu_mean,
     psi_on_grid,
     reconstruct_psi,
@@ -43,33 +44,6 @@ class TestSpectralParams:
             SpectralParams(m=0, n=4, model=UNIT)
         with pytest.raises(ValueError):
             SpectralParams(m=3, n=0, model=UNIT)
-
-
-class TestAssembleSystem:
-    def test_betas(self):
-        s = assemble_system(SpectralParams(m=2, n=3, model=UNIT))
-        assert s["beta1"] == pytest.approx(1j)
-        assert s["beta2"] == pytest.approx(0.25j)
-        s = assemble_system(SpectralParams(m=2, n=3, model=ModelParams(4.0, 1.0)))
-        assert s["beta1"] == pytest.approx(0.5j)
-        assert s["beta2"] == pytest.approx(2.0j)
-
-    def test_diagonals(self):
-        s = assemble_system(SpectralParams(m=1, n=2, model=UNIT))
-        assert np.array_equal(np.diag(s["M1"]), [-1.0, 0.0, 1.0])
-        assert np.array_equal(np.diag(s["D2"]), [0.0, 1.0, 2.0])
-
-    def test_m2_is_sub_minus_super_shift(self):
-        s = assemble_system(SpectralParams(m=1, n=2, model=UNIT))
-        assert s["M2"].tolist() == [[0, -1, 0], [1, 0, -1], [0, 1, 0]]
-
-    def test_n_matrices(self):
-        s = assemble_system(SpectralParams(m=1, n=2, model=UNIT))
-        sq = np.sqrt(np.diag([0.0, 1.0, 2.0]))
-        l_sub = np.eye(3, k=-1)
-        l_super = np.eye(3, k=1)
-        assert np.allclose(s["N1"], sq @ l_sub + l_super @ sq)
-        assert np.allclose(s["N2"], sq @ l_sub - l_super @ sq)
 
 
 class TestAssembleRhs:
@@ -215,13 +189,38 @@ class TestReconstruction:
         assert np.allclose(minus, -plus, atol=1e-8)
 
     def test_grid_matches_pointwise(self, small_solution):
-        from ptwa.grid import Grid2D
-
+        # reference: the explicit double sum sum_jk C_j^k exp(i j theta) P_k(kappa) / sqrt(2 pi M)
         x, sp = small_solution
+        scale = math.sqrt(sp.model.lam) / sp.model.alpha
+
+        def double_sum(theta, kappa):
+            total = 0j
+            for row, j in enumerate(sp.fourier_orders()):
+                for k in range(sp.n_hermite):
+                    unit = np.zeros(k + 1)
+                    unit[k] = 1.0
+                    p_k = hermeval(scale * kappa, unit) / math.sqrt(math.factorial(k))
+                    total += x.entries[row, k] * cmath.exp(1j * j * theta) * p_k
+            return total.real / math.sqrt(2 * math.pi * von_mises_pdf(sp.model, theta))
+
+        reference = np.vectorize(double_sum)
+        rng = np.random.default_rng(11)
+        th = rng.uniform(-3.0, 3.0, 6)
+        ka = rng.uniform(-3.0, 3.0, 6)
         g = Grid2D(16, -3.0, 3.0, 11)
-        field = psi_on_grid(x, sp, g)
-        th, ka = g.meshgrid()
-        assert np.allclose(field.values, reconstruct_psi(x, sp, th, ka), atol=1e-12)
+        cases = [
+            (0.7, -1.2),  # scalar x scalar
+            (th, ka),  # (N,) x (N,)
+            (th, 0.4),  # (N,) x scalar
+            (g.theta[:, None], g.kappa),  # (n_theta, 1) x (n_kappa,)
+        ]
+        for theta, kappa in cases:
+            want = reference(theta, kappa)
+            got = reconstruct_psi(x, sp, theta, kappa)
+            assert np.shape(got) == np.shape(want)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert isinstance(reconstruct_psi(x, sp, 0.7, -1.2), float)
+        assert np.array_equal(psi_on_grid(x, sp, g).values, reconstruct_psi(x, sp, *cases[-1]))
 
     def test_theta_marginal(self, small_solution):
         x, sp = small_solution
