@@ -41,6 +41,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+TAIL_LINE = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,8 +140,7 @@ def cmd_gci(args) -> int:
     grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
     _write_csv(psi_path, "theta,kappa,value", psi_rows, config, grid_config)
     print(f"algebraic residual: {x.residual:.6e}")
-    fourier_tail, hermite_tail = x.tail_norms()
-    print(f"spectral tail: |j|=m shells {fourier_tail:.6e}, k=n column {hermite_tail:.6e}")
+    print(TAIL_LINE.format(*x.tail_norms()))
     print(f"wrote {coeff_path} and {psi_path}")
     return EXIT_OK
 
@@ -195,7 +195,9 @@ def cmd_coeffs(args) -> int:
         model = ModelParams(lam=args.lam, alpha=alpha)
         row = [args.lam, alpha, c1_coefficient(model)]
         try:
-            h = compute_hydro_coeffs(*_solve(args.lam, alpha, args.m, args.n))
+            x, sp = _solve(args.lam, alpha, args.m, args.n)
+            print(f"alpha={alpha}: " + TAIL_LINE.format(*x.tail_norms()))
+            h = compute_hydro_coeffs(x, sp)
             row += [h.c2, h.gamma1, h.gamma2, h.d]
         except (RuntimeError, ArithmeticError) as exc:
             print(f"alpha={alpha}: degenerate point ({exc}); emitting NaN", file=sys.stderr)

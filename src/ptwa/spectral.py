@@ -8,11 +8,11 @@ type matrix equation
 
     beta1 M1 X N1 + beta2 M2 X N2 - lam X D2 = B,
 
-which is vectorized column-major through sparse Kronecker products (at most
-seven nonzeros per column).  The solution is real and odd under
-(theta, kappa) -> (-theta, -kappa), which fixes every coefficient by one real
-number; the system restricted to that class is real and is solved by one
-sparse LU.
+in which each coefficient couples only to itself, (j, k+-1) and (j+-1, k+-1).
+The solution is real and odd under (theta, kappa) -> (-theta, -kappa), which
+fixes every coefficient by one real number r_j^k with j >= 0.  That real system
+is solved by one banded LU (LAPACK gbsv), bandwidth m+2, on the half grid
+j >= 0; no matrix of the full complex system is ever formed.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv
 from scipy.special import ive
 
 from .equilibrium import ModelParams, von_mises_pdf
@@ -33,15 +32,15 @@ __all__ = [
     "SpectralParams",
     "CoeffMatrix",
     "assemble_rhs",
-    "assemble_kron_matrix",
-    "assemble_symmetry_maps",
+    "apply_operator",
+    "assemble_band",
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
     "theta_marginal_times_m",
 ]
 
-#: relative algebraic residual ||A vec - b|| / ||b|| required of the solve, with the full complex A
+#: relative algebraic residual ||L(X) - B|| / ||B|| required of the solve, with the full complex L
 SOLVE_RTOL = 1e-10
 #: allowed imaginary residue of reconstructed values, relative to |real| + 1
 IMAG_TOL = 1e-8
@@ -115,71 +114,70 @@ def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     return b
 
 
-def assemble_kron_matrix(sp: SpectralParams) -> sps.csc_matrix:
-    """Sparse operator on vec(X) (column-major) of the coefficient equation.
+def apply_operator(entries: np.ndarray, sp: SpectralParams) -> np.ndarray:
+    """The operator of the module docstring applied to X, matrix-free.
 
-    beta1 kron(N1^T, M1) + beta2 kron(N2^T, M2) - lam kron(D2, Id) with
-    M1 = diag(-m..m) and M2 = L_{-1} - L_{+1} (size 2m+1; L_{-1} and L_{+1}
-    hold ones on the sub- and superdiagonal), D2 = diag(0..n), N1 = U + U^T
-    and N2 = U^T - U with U = L_{+1} sqrt(D2) (size n+1), so N1^T = N1 and
-    N2^T = U - U^T; beta1 = i alpha/sqrt(lam) and beta2 = i lam sqrt(lam)/(4 alpha).
+    M1 = diag(-m..m), M2 X = X shifted down a row minus X shifted up a row,
+    (XU)_k = sqrt(k) X_{k-1}, (XU^T)_k = sqrt(k+1) X_{k+1}, N1 = U + U^T, N2 = U^T - U,
+    D2 = diag(0..n), beta1 = i alpha/sqrt(lam) and beta2 = i lam sqrt(lam)/(4 alpha).
     """
     lam, alpha = sp.model.lam, sp.model.alpha
-    u = np.diag(np.sqrt(np.arange(1.0, sp.n + 1)), k=1)
-    m1 = np.diag(sp.fourier_orders().astype(float))
-    m2 = np.eye(sp.n_fourier, k=-1) - np.eye(sp.n_fourier, k=1)
-    d2 = np.diag(np.arange(sp.n + 1.0))
-    return (
-        1j * alpha / math.sqrt(lam) * sps.kron(u + u.T, m1, format="csc")
-        + 1j * lam * math.sqrt(lam) / (4.0 * alpha) * sps.kron(u - u.T, m2, format="csc")
-        - lam * sps.kron(d2, sps.identity(sp.n_fourier), format="csc")
-    )
+    k = np.arange(sp.n_hermite)
+    x = np.pad(entries, ((0, 0), (1, 1)))
+    xu, xut = x[:, :-2] * np.sqrt(k), x[:, 2:] * np.sqrt(k + 1)
+    n2 = np.pad(xut - xu, ((1, 1), (0, 0)))
+    beta1, beta2 = 1j * alpha / math.sqrt(lam), 1j * lam * math.sqrt(lam) / (4.0 * alpha)
+    m1n1 = sp.fourier_orders()[:, None] * (xu + xut)
+    return beta1 * m1n1 + beta2 * (n2[:-2] - n2[2:]) - lam * k * entries
 
 
-def assemble_symmetry_maps(sp: SpectralParams) -> tuple[sps.csc_matrix, sps.csc_matrix]:
-    """Expansion E and restriction R of the class C_{-j}^k = conj(C_j^k) = -(-1)^k C_j^k.
+def assemble_band(sp: SpectralParams) -> np.ndarray:
+    """The real system for r_j^k, j >= 0, in gbsv band storage: kl = ku = m+2, unknown j + (m+1)k.
 
-    On it each coefficient is fixed by one real number r_j^k with j >= 0:
-    C_{+-j}^k = +-i r (k even) or r (k odd), and C_0^k = 0 for even k.  E maps
-    the reduced vector r to vec(X) (column-major); R reads r back, so R E = Id.
-    L maps the class into itself, so A E = E (R A E) and R A E is real.
+    With a1 = alpha/sqrt(lam), a2 = lam sqrt(lam)/(4 alpha) and s = (-1)^k, row (j, k) is
+    s [a1 j (sqrt(k) r_j^{k-1} + sqrt(k+1) r_j^{k+1}) + a2 (sqrt(k+1) (r_{j-1}^{k+1} -
+    r_{j+1}^{k+1}) - sqrt(k) (r_{j-1}^{k-1} - r_{j+1}^{k-1}))] - lam k r_j^k, with the mirror
+    r_{-1}^k = -r_1^k; r_0^k is pinned to 0 for even k.  A[row, row + d] is ab[2(m+2) - d, row + d].
     """
-    m, nf = sp.m, sp.n_fourier
-    j, k = np.meshgrid(np.arange(m + 1), np.arange(sp.n_hermite), indexing="ij")
-    keep = (j > 0) | (k % 2 == 1)
-    j, k = j[keep], k[keep]
-    phase = np.where(k % 2 == 0, 1j, 1.0 + 0j)
-    cols = np.arange(j.size)
-    pairs = j > 0  # C_{-j}^k = conj(phase) r; the j = 0 row is its own mirror
-    rows = np.concatenate([m + j, m - j[pairs]]) + nf * np.concatenate([k, k[pairs]])
-    vals = np.concatenate([phase, np.conj(phase[pairs])])
-    expand = sps.csc_matrix(
-        (vals, (rows, np.concatenate([cols, cols[pairs]]))), shape=(sp.size, j.size)
-    )
-    restrict = sps.csc_matrix((np.conj(phase), (cols, m + j + nf * k)), shape=(j.size, sp.size))
-    return expand, restrict
+    m, n, lam, alpha = sp.m, sp.n, sp.model.lam, sp.model.alpha
+    w, size = m + 2, (m + 1) * (n + 1)
+    j, k = np.arange(m + 1.0)[:, None], np.arange(n + 1.0)
+    live, sign = (j > 0) | (k % 2 == 1), np.where(k % 2 == 0, 1.0, -1.0)
+    a1 = sign * j * (alpha / math.sqrt(lam))
+    a2 = sign * live * (lam * math.sqrt(lam) / (4.0 * alpha))
+    left, right = j > 0, np.where(j == 0, 2.0, j < m)  # row 0 folds in r_{-1} = -r_1
+    up, down = np.sqrt(k + 1.0), np.sqrt(k)
+    ab = np.zeros((3 * w + 1, size), order="F")  # gbsv takes it without a copy
+    for d, coef in ((-m - 1, a1 * down), (m + 1, a1 * up), (m, a2 * up * left),
+                    (-m - 2, -a2 * down * left), (m + 2, -a2 * up * right), (-m, a2 * down * right)):
+        ab[2 * w - d, max(d, 0) : size + min(d, 0)] = coef.ravel("F")[max(-d, 0) : size - max(d, 0)]
+    ab[:, :: 2 * (m + 1)] = 0.0  # the pinned unknowns enter no other row
+    ab[2 * w] = np.where(live, -lam * k, 1.0).ravel("F")
+    return ab
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
-    """Solve the coefficient equation on the solution's symmetry class by one sparse real LU.
+    """Solve the coefficient equation by one real banded LU, bandwidth m+2, on the half grid j >= 0.
 
-    The truncated constant spans a near-kernel of the full matrix A (reciprocal
-    condition about 1e-38 at (30, 61)).  It is even under (theta, kappa) ->
-    (-theta, -kappa) while psi is odd, so on the real, odd class of
-    assemble_symmetry_maps the system Re(R A E) r = Re(R b) is well conditioned,
-    and reality, oddness and <psi>_mu = 0 hold exactly.  Raises RuntimeError if
-    ||A E r - b|| / ||b|| exceeds SOLVE_RTOL.
+    The truncated constant, even under (theta, kappa) -> (-theta, -kappa), is a
+    near-kernel of the full operator (reciprocal condition about 1e-38 at (30, 61)).  psi is
+    odd, and on its real, odd class C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k
+    (phase_k = i for even k, 1 for odd k) the system is well conditioned and reality,
+    oddness and <psi>_mu = 0 hold exactly.  Raises RuntimeError if the band is singular
+    or ||apply_operator(X) - B|| / ||B|| is not at most SOLVE_RTOL.
     """
-    a = assemble_kron_matrix(sp)
-    b = assemble_rhs(sp).flatten(order="F")
-    expand, restrict = assemble_symmetry_maps(sp)
-    # .real is a strided view of the complex data; splu needs contiguous arrays
-    reduced = sps.csc_matrix((restrict @ a @ expand).real, copy=True)
-    vec = expand @ splu(reduced).solve((restrict @ b).real)
-    residual = float(np.linalg.norm(a @ vec - b) / np.linalg.norm(b))
-    if residual > SOLVE_RTOL:
-        raise RuntimeError(f"sparse solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e}")
-    x = vec.reshape((sp.n_fourier, sp.n_hermite), order="F")
+    b = assemble_rhs(sp)
+    phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
+    rhs = (np.conj(phase) * b[sp.m :]).real.reshape(-1, 1, order="F")
+    w = sp.m + 2
+    *_, r, info = dgbsv(w, w, assemble_band(sp), rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"banded LU is singular (LAPACK gbsv info {info})")
+    r = r.reshape((sp.m + 1, sp.n_hermite), order="F")
+    x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
+    residual = float(np.linalg.norm(apply_operator(x, sp) - b) / np.linalg.norm(b))
+    if not residual <= SOLVE_RTOL:  # also fails on NaN
+        raise RuntimeError(f"banded solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e}")
     return CoeffMatrix(entries=x, residual=residual)
 
 

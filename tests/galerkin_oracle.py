@@ -1,8 +1,8 @@
 """Reference assembly of the Galerkin operator, for tests only.
 
 It scatters the 3x3 single-mode stencil of L over all basis pairs, with no
-matrix product, so it is independent of spectral.assemble_kron_matrix; the two
-must agree entrywise.
+matrix product, so it is independent of spectral.apply_operator, which applies
+the same operator matrix-free; the two must agree on every coefficient matrix.
 """
 
 import math
@@ -18,8 +18,7 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
     Applying L to a single basis function phi_j P_k produces seven neighbor
     modes; each contribution is scattered into the big matrix indexed
     column-major: flat index = (j + m) + (2m+1) * k.  Independent oracle for
-    the Kronecker assembly (same index convention, built without any matrix
-    product).
+    apply_operator (same index convention, built without any matrix product).
     """
     lam, alpha = sp.model.lam, sp.model.alpha
     beta1 = 1j * alpha / math.sqrt(lam)

@@ -185,6 +185,31 @@ class TestCoeffs:
         assert all(math.isnan(v) for v in (c2, g1, g2))
         assert d == alpha**2 / lam**2
 
+    def test_singular_band_writes_nan_row(self, tmp_path, capsys, monkeypatch):
+        from ptwa import spectral
+
+        band = spectral.assemble_band
+        monkeypatch.setattr(spectral, "assemble_band", lambda sp: np.zeros_like(band(sp)))
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--alpha-range", "1", "-m", "4", "-n", "7", "--out", str(out)])
+        assert code == 0
+        assert "banded LU is singular" in capsys.readouterr().err
+        _, _, _, c2, g1, g2, d = (float(v) for v in read_lines(out)[2].split(","))
+        assert all(math.isnan(v) for v in (c2, g1, g2)) and d == 1.0
+
+    def test_prints_spectral_tail_per_point(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--lambda", "1.5", "--alpha-range", "0.5,2", "-m", "6", "-n", "13",
+                     "--out", str(out)])
+        assert code == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "spectral tail:" in ln]
+        assert [ln.split(":")[0] for ln in lines] == ["alpha=0.5", "alpha=2.0"]
+        for line, alpha in zip(lines, (0.5, 2.0)):
+            x = solve_gci(SpectralParams(6, 13, ModelParams(1.5, alpha)))
+            expect = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}".format(*x.tail_norms())
+            assert line == f"alpha={alpha}: {expect}"
+        assert len(read_lines(out)[1].split(",")) == 7  # no column was added
+
     def test_mc_check_columns(self, tmp_path):
         from ptwa.montecarlo import OracleConfig, mc_c2
 

@@ -8,6 +8,7 @@ import pytest
 from galerkin_oracle import stencil_galerkin_matrix
 from numpy.polynomial.hermite_e import hermeval
 
+from ptwa import spectral
 from ptwa.equilibrium import ModelParams, mu_pdf, theta_nodes, von_mises_pdf
 from ptwa.grid import Grid2D, residual_inf
 from ptwa.hydro import compute_hydro_coeffs
@@ -15,9 +16,9 @@ from ptwa.spectral import (
     CoeffMatrix,
     SpectralParams,
     _constant_coefficients,
-    assemble_kron_matrix,
+    apply_operator,
+    assemble_band,
     assemble_rhs,
-    assemble_symmetry_maps,
     mu_mean,
     psi_on_grid,
     reconstruct_psi,
@@ -31,6 +32,22 @@ SYMMETRY_POINTS = [(lam, a) for lam in (0.5, 1.0, 2.0) for a in (0.5, 1.0, 2.0)]
     (5.0, 0.2),
     (0.2, 5.0),
 ]
+
+
+def class_member(r: np.ndarray) -> np.ndarray:
+    """C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k, phase_k = i (k even) or 1 (k odd)."""
+    phase = np.where(np.arange(r.shape[1]) % 2 == 0, 1j, 1.0)
+    return np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
+
+
+def dense_from_band(ab: np.ndarray, w: int) -> np.ndarray:
+    """The matrix held in gbsv band storage with kl = ku = w (entry (i, c) at ab[2w + i - c, c])."""
+    size = ab.shape[1]
+    a = np.zeros((size, size))
+    for c in range(size):
+        for i in range(max(0, c - w), min(size, c + w + 1)):
+            a[i, c] = ab[2 * w + i - c, c]
+    return a
 
 
 class TestSpectralParams:
@@ -81,11 +98,15 @@ class TestAssembleRhs:
 class TestAssemblyOracle:
     @pytest.mark.parametrize("m,n", [(1, 2), (3, 4), (5, 6)])
     def test_kron_equals_stencil(self, m, n):
+        # apply_operator is the Kronecker operator of the module docstring applied matrix-free
         for model in (UNIT, ModelParams(2.0, 0.6)):
             sp = SpectralParams(m=m, n=n, model=model)
-            kron = assemble_kron_matrix(sp).toarray()
-            stencil = stencil_galerkin_matrix(sp)
-            assert np.max(np.abs(kron - stencil)) < 1e-12
+            rng = np.random.default_rng(m)
+            shape = (sp.n_fourier, sp.n_hermite)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stencil = stencil_galerkin_matrix(sp) @ x.flatten(order="F")
+            applied = apply_operator(x, sp).flatten(order="F")
+            assert np.max(np.abs(applied - stencil)) < 1e-12 * np.max(np.abs(stencil))
 
     def test_single_mode_stencil(self):
         # L(phi_1 P_0) = beta1 phi_1 P_1 + beta2 (phi_0 - phi_2) P_1 within the truncation
@@ -125,10 +146,22 @@ class TestSolveGci:
         # at modest truncation the plain solve is stable; cross-check the full pipeline
         sp = SpectralParams(m=3, n=4, model=ModelParams(1.2, 0.9))
         x = solve_gci(sp)
-        a = assemble_kron_matrix(sp)
+        a = stencil_galerkin_matrix(sp)
         b = assemble_rhs(sp).flatten(order="F")
         vec = x.entries.flatten(order="F")
         assert np.linalg.norm(a @ vec - b) / np.linalg.norm(b) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        # lambda^2/alpha^2 overflows, so ive(0, inf) = 0 leaves the right-hand side NaN
+        with pytest.raises(RuntimeError, match="residual nan"):
+            solve_gci(SpectralParams(4, 7, ModelParams(1e154, 1e-3)))
+
+    def test_singular_band_raises(self, monkeypatch):
+        sp = SpectralParams(m=3, n=4, model=UNIT)
+        monkeypatch.setattr(spectral, "assemble_band", lambda p: np.zeros_like(assemble_band(p)))
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_gci(sp)
 
 
 class TestReducedSolve:
@@ -141,20 +174,27 @@ class TestReducedSolve:
 
     @pytest.mark.parametrize("m,n", [(3, 4), (5, 6)])
     def test_class_is_closed_under_the_operator(self, m, n):
+        # L maps the real, odd class into itself, and the band is L on the class
         for model in (UNIT, ModelParams(2.0, 0.6)):
             sp = SpectralParams(m=m, n=n, model=model)
-            a = assemble_kron_matrix(sp).toarray()
-            expand, restrict = assemble_symmetry_maps(sp)
-            e, r = expand.toarray(), restrict.toarray()
-            projected = r @ a @ e
-            assert np.array_equal(r @ e, np.eye(e.shape[1]))
-            assert np.all(projected.imag == 0.0)
-            assert np.max(np.abs(a @ e - e @ projected.real)) < 1e-14
+            r = np.random.default_rng(m + n).standard_normal((m + 1, n + 1))
+            r[0, ::2] = 0.0  # C_0^k = 0 for even k
+            y = apply_operator(class_member(r), sp)
+            scale = np.max(np.abs(y))
+            reality, oddness = CoeffMatrix(y).symmetry_defects()
+            assert max(reality, oddness) <= 1e-15 * scale
+            assert np.max(np.abs(y[m, ::2])) <= 1e-15 * scale
+            phase = np.where(np.arange(n + 1) % 2 == 0, 1j, 1.0)
+            reduced = np.conj(phase) * y[m:]
+            assert np.max(np.abs(reduced.imag)) <= 1e-15 * scale
+            band = dense_from_band(assemble_band(sp), m + 2)
+            got = band @ r.flatten(order="F")
+            assert np.max(np.abs(got - reduced.real.flatten(order="F"))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("m,n", [(6, 13), (10, 21)])
     def test_matches_dense_least_norm_oracle(self, m, n):
         # independent route: min-norm least squares on the stencil matrix, then mean-zero
-        for model in (UNIT, ModelParams(2.0, 0.6)):
+        for model in (UNIT, ModelParams(2.0, 0.6), ModelParams(5.0, 0.2), ModelParams(0.2, 5.0)):
             sp = SpectralParams(m=m, n=n, model=model)
             b = assemble_rhs(sp).flatten(order="F")
             vec, *_ = np.linalg.lstsq(stencil_galerkin_matrix(sp), b, rcond=None)
@@ -167,7 +207,7 @@ class TestReducedSolve:
             assert abs(c2 - compute_hydro_coeffs(oracle, sp).c2) < 1e-12
 
     def test_hard_corner_reconstructs_on_the_residual_grid(self):
-        # a plain sparse LU of the full system left 1.1e-2 imaginary residue here
+        # a plain complex LU of the full system left 1.1e-2 imaginary residue here
         sp = SpectralParams(m=30, n=61, model=ModelParams(2.0, 0.5))
         x = solve_gci(sp)
         field = psi_on_grid(x, sp, Grid2D(31, -5.0, 5.0, 51))  # `ptwa residual` at delta 0.2
