@@ -55,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -89,8 +89,8 @@ def _value_list(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p]
     if not values:
         raise argparse.ArgumentTypeError(f"empty value list: {text!r}")
-    if any(v <= 0.0 for v in values):
-        raise argparse.ArgumentTypeError(f"all values must be positive: {text!r}")
+    if not all(0.0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"all values must be positive and finite: {text!r}")
     return values
 
 
@@ -254,8 +254,10 @@ def cmd_simulate(args) -> int:
         )
         t_final = float(raw["t_final"])
         stride = int(raw.get("stride", 100))
-        if t_final <= 0.0 or stride < 1:
-            raise ValueError("t_final must be positive and stride >= 1")
+        # json reads Infinity; the dt bound of SimConfig already rejects an infinite dt or lambda
+        finite = all(map(math.isfinite, (cfg.box_size, cfg.radius, cfg.model.alpha, t_final)))
+        if not (finite and t_final > 0.0 and stride >= 1):
+            raise ValueError("box, radius, alpha, t_final must be finite, t_final > 0, stride >= 1")
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE

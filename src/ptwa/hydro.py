@@ -3,7 +3,8 @@
 The limit system transports the density at speed c1 and the direction field at
 speed c2 = gamma2/gamma1, where gamma1 = <sin(theta) psi>_mu and
 gamma2 = <sin(theta) cos(theta) psi>_mu are moments of the collisional
-invariant, and carries a pressure coefficient d = alpha^2/lambda^2.
+invariant, and carries a pressure coefficient d = alpha^2/lambda^2.  Both
+moments are exact Bessel projections of psi's Hermite-degree-0 column.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import c1_coefficient, theta_nodes
-from .spectral import CoeffMatrix, SpectralParams, assemble_rhs, theta_marginal_times_m
+from .spectral import CoeffMatrix, SpectralParams, von_mises_projection
 
 __all__ = [
     "HydroCoeffs",
@@ -25,8 +26,6 @@ __all__ = [
     "hyperbolicity_check",
 ]
 
-#: nodes for the periodic trapezoid rule in the gamma moments
-GAMMA_QUAD_NODES = 512
 #: below this magnitude gamma1 is treated as degenerate
 GAMMA1_MIN = 1e-10
 
@@ -50,27 +49,29 @@ class HydroCoeffs:
             raise ValueError("gamma1 must be nonzero")
 
 
-def gamma_moments(x: CoeffMatrix, sp: SpectralParams, n_nodes: int = GAMMA_QUAD_NODES) -> dict:
-    """gamma1 = <sin psi>_mu and gamma2 = <sin cos psi>_mu by periodic trapezoid.
+def _sine_moment(x: CoeffMatrix, sp: SpectralParams, q: int) -> float:
+    """<sin(q theta) psi>_mu = Re sum_j C_j^0 i (h(-q) - h(q)) / 2, h(s) = von_mises_projection(sp, s)."""
+    weights = 1j * (von_mises_projection(sp, -q) - von_mises_projection(sp, q)) / 2.0
+    return float(np.real(np.sum(x.entries[:, 0] * weights)))
 
-    The kappa integral is exact: only the Hermite-degree-0 column of the
-    coefficients survives against the Gaussian weight, so the integrand is the
-    theta marginal times the Von Mises weight.
+
+def gamma_moments(x: CoeffMatrix, sp: SpectralParams) -> dict:
+    """gamma1 = <sin psi>_mu and gamma2 = <sin cos psi>_mu = <sin(2 theta) psi>_mu / 2, exactly.
+
+    Only the Hermite-degree-0 column survives the kappa integral, and
+    phi_j sqrt(M) = exp(i j theta)/sqrt(2 pi), so each moment is that column
+    against Bessel columns (_sine_moment); there is no theta quadrature.
     """
-    th = theta_nodes(n_nodes)
-    w = 2.0 * math.pi / n_nodes
-    weighted = theta_marginal_times_m(x, sp, th)
-    gamma1 = float(np.sum(np.sin(th) * weighted) * w)
-    gamma2 = float(np.sum(np.sin(th) * np.cos(th) * weighted) * w)
+    gamma1 = _sine_moment(x, sp, 1)
+    gamma2 = _sine_moment(x, sp, 2) / 2.0
     if abs(gamma1) < GAMMA1_MIN:
         raise ArithmeticError(f"degenerate moment: |gamma1| = {abs(gamma1):.3e} < {GAMMA1_MIN}")
     return {"gamma1": gamma1, "gamma2": gamma2}
 
 
 def gamma_moments_spectral(x: CoeffMatrix, sp: SpectralParams) -> float:
-    """gamma1 through the projection identity gamma1 = sum_j C_j^0 B(j, 0); cross-check route."""
-    b = assemble_rhs(sp)
-    return float(np.real(np.sum(x.entries[:, 0] * b[:, 0])))
+    """gamma1 without the degeneracy check; the same projection as gamma_moments."""
+    return _sine_moment(x, sp, 1)
 
 
 def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:

@@ -37,7 +37,7 @@ __all__ = [
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
-    "theta_marginal_times_m",
+    "von_mises_projection",
 ]
 
 #: relative algebraic residual ||L(X) - B|| / ||B|| required of the solve, with the full complex L
@@ -101,16 +101,23 @@ class CoeffMatrix:
         return reality, oddness
 
 
+def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
+    """The integrals of exp(i (j + q) theta) sqrt(M(theta) / 2 pi) over theta, for j = -m..m.
+
+    Each is I_{j+q}(k/2) / sqrt(I0(k)), k = lam^2/alpha^2, in the scaled form ive(n, x) =
+    exp(-x) I_n(x) so the exponentials cancel; every theta moment against M combines them.
+    """
+    k = sp.model.concentration
+    return ive(sp.fourier_orders() + q, k / 2.0) / math.sqrt(ive(0, k))
+
+
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     """Basis coefficients of -sin(theta): nonzero only in the Hermite-degree-0 column.
 
-    B(j, 0) = i (I_{j-1}(k/2) - I_{j+1}(k/2)) / (2 sqrt(I0(k))) with k = lam^2/alpha^2,
-    evaluated with the scaled ive(n, x) = exp(-x) I_n(x) so the exponentials cancel.
+    B(j, 0) = i (I_{j-1}(k/2) - I_{j+1}(k/2)) / (2 sqrt(I0(k))) with k = lam^2/alpha^2.
     """
-    k = sp.model.concentration
-    j = sp.fourier_orders()
     b = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    b[:, 0] = 1j * (ive(j - 1, k / 2.0) - ive(j + 1, k / 2.0)) / (2.0 * math.sqrt(ive(0, k)))
+    b[:, 0] = 1j * (von_mises_projection(sp, -1) - von_mises_projection(sp, 1)) / 2.0
     return b
 
 
@@ -182,10 +189,9 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
 
 
 def _constant_coefficients(sp: SpectralParams) -> np.ndarray:
-    """Basis coefficients of the constant function 1 (truncated): C(j, 0) = I_j(k/2) / sqrt(I0(k)), scaled."""
-    k = sp.model.concentration
+    """Basis coefficients of the constant function 1 (truncated): C(j, 0) = I_j(k/2) / sqrt(I0(k))."""
     c = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    c[:, 0] = ive(sp.fourier_orders(), k / 2.0) / math.sqrt(ive(0, k))
+    c[:, 0] = von_mises_projection(sp, 0)
     return c
 
 
@@ -241,19 +247,3 @@ def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
     """
     return GridField(grid, reconstruct_psi(x, sp, grid.theta[:, None], grid.kappa))
 
-
-def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):
-    """psi_bar(theta) * M(theta), evaluated without the 1/sqrt(M) amplification.
-
-    psi_bar = sum_j C_j^0 phi_j is the kappa-average of psi, exact since the
-    Hermite directions integrate to delta_{k0} against the Gaussian weight.
-    The marginal itself carries a 1/sqrt(M) factor that grows like
-    exp(concentration) near theta = pi and amplifies coefficient noise at
-    large lambda/alpha; the product against the Von Mises weight is the
-    quantity that enters every moment integral and stays O(1).
-    """
-    theta = np.asarray(theta, dtype=float)
-    j = sp.fourier_orders()
-    phase = np.exp(1j * theta[..., None] * j)
-    weight = np.sqrt(von_mises_pdf(sp.model, theta) / (2.0 * math.pi))
-    return _real((phase @ x.entries[:, 0]) * weight)

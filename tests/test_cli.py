@@ -37,6 +37,27 @@ class TestUsageErrors:
     def test_non_numeric_range(self):
         assert main(["residual", "--lambda", "a:b:c"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_gci_rejects_non_finite(self, tmp_path):
+        for flags in (["--alpha", "inf"], ["--lambda", "nan"], ["--delta", "inf"]):
+            assert main(["gci", *flags, "-m", "4", "-n", "9", "--out", str(tmp_path / "g")]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_residual_rejects_non_finite(self, tmp_path):
+        for flags in (["--alpha", "1,inf"], ["--lambda", "nan,1"], ["--delta", "inf"]):
+            argv = ["residual", *flags, "-m", "4", "-n", "9", "--out", str(tmp_path / "r.csv")]
+            assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_coeffs_rejects_non_finite(self, tmp_path):
+        for flags in (["--alpha-range", "1,inf"], ["--alpha-range", "1", "--lambda", "inf"],
+                      ["--alpha-range", "1", "--mc-check", "--mc-tfinal", "inf"]):
+            argv = ["coeffs", *flags, "-m", "4", "-n", "9", "--out", str(tmp_path / "c.csv")]
+            assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_range_values_are_the_decimal_ones():
     # stepped in binary floating point this range held 0.6000000000000001
@@ -277,6 +298,14 @@ class TestSimulate:
         bad = tmp_path / "sim.json"
         bad.write_text(json.dumps({"n_agents": 5}))
         assert main(["simulate", "--config", str(bad)]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_field(self, tmp_path):
+        out = tmp_path / "stats.csv"
+        for field in ("box", "alpha", "t_final"):
+            cfg = self.write_config(tmp_path, **{field: math.inf})  # written as Infinity
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestDeterminism:

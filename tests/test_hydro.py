@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from galerkin_oracle import gamma_moments_trapezoid
 
 from ptwa.equilibrium import ModelParams, c1_coefficient
 from ptwa.hydro import (
@@ -15,6 +16,13 @@ from ptwa.hydro import (
     hyperbolicity_check,
 )
 from ptwa.spectral import CoeffMatrix, SpectralParams, solve_gci
+
+
+#: criterion 3's (lambda, alpha) grid and the corners of criterion 8's
+ORACLE_POINTS = [(lam, a) for lam in (0.5, 1.0, 2.0) for a in (0.5, 1.0, 2.0)] + [
+    (5.0, 0.2),
+    (0.2, 5.0),
+]
 
 
 def coeffs(c1=0.45, c2=0.18, d=1.0):
@@ -38,17 +46,33 @@ class TestGammaMoments:
         assert g["gamma1"] == pytest.approx(0.51733448, abs=1e-6)
         assert g["gamma2"] == pytest.approx(0.09379593, abs=1e-6)
 
-    def test_quadrature_equals_spectral_projection(self, medium_solution):
-        x, sp = medium_solution
+    def test_quadrature_equals_spectral_projection(self):
+        # the Bessel projections against the periodic trapezoid of the theta marginal
+        for lam, alpha in ORACLE_POINTS:
+            sp = SpectralParams(m=30, n=61, model=ModelParams(lam, alpha))
+            x = solve_gci(sp)
+            g = gamma_moments(x, sp)
+            ref = gamma_moments_trapezoid(x, sp, n_nodes=1024)
+            assert g["gamma1"] == pytest.approx(ref["gamma1"], rel=1e-12, abs=0.0)
+            assert g["gamma2"] == pytest.approx(ref["gamma2"], rel=1e-12, abs=0.0)
+            assert g["gamma1"] == gamma_moments_spectral(x, sp)
+
+    @pytest.mark.parametrize("lam,alpha", [(10.0, 0.1), (100.0, 1.0)])
+    def test_large_concentration(self, lam, alpha):
+        # lambda^2/alpha^2 = 1e4: a 512-node trapezoid aliases at 1e-9 here, 4096 nodes do not
+        sp = SpectralParams(m=30, n=61, model=ModelParams(lam, alpha))
+        x = solve_gci(sp)
         g = gamma_moments(x, sp)
-        assert g["gamma1"] == pytest.approx(gamma_moments_spectral(x, sp), rel=1e-8)
+        ref = gamma_moments_trapezoid(x, sp, n_nodes=4096)
+        assert g["gamma1"] == pytest.approx(ref["gamma1"], rel=1e-13, abs=0.0)
+        assert g["gamma2"] == pytest.approx(ref["gamma2"], rel=1e-13, abs=0.0)
 
     def test_quadrature_refinement_invariance(self, medium_solution):
         x, sp = medium_solution
-        a = gamma_moments(x, sp, n_nodes=256)
-        b = gamma_moments(x, sp, n_nodes=1024)
-        assert a["gamma1"] == pytest.approx(b["gamma1"], rel=1e-12)
-        assert a["gamma2"] == pytest.approx(b["gamma2"], rel=1e-12)
+        a = gamma_moments_trapezoid(x, sp, n_nodes=256)
+        b = gamma_moments_trapezoid(x, sp, n_nodes=1024)
+        assert a["gamma1"] == pytest.approx(b["gamma1"], rel=1e-12, abs=0.0)
+        assert a["gamma2"] == pytest.approx(b["gamma2"], rel=1e-12, abs=0.0)
 
     def test_even_coefficients_give_degenerate_moment(self, unit_model):
         # an even-in-theta psi has vanishing gamma1; the ratio must be refused

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from galerkin_oracle import stencil_galerkin_matrix
+from galerkin_oracle import stencil_galerkin_matrix, theta_marginal_times_m
 from numpy.polynomial.hermite_e import hermeval
 
 from ptwa import spectral
@@ -23,7 +23,6 @@ from ptwa.spectral import (
     psi_on_grid,
     reconstruct_psi,
     solve_gci,
-    theta_marginal_times_m,
 )
 
 UNIT = ModelParams(1.0, 1.0)
