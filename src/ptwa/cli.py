@@ -256,8 +256,8 @@ def cmd_simulate(args) -> int:
         stride = int(raw.get("stride", 100))
         # json reads Infinity; the dt bound of SimConfig already rejects an infinite dt or lambda
         finite = all(map(math.isfinite, (cfg.box_size, cfg.radius, cfg.model.alpha, t_final)))
-        if not (finite and t_final > 0.0 and stride >= 1):
-            raise ValueError("box, radius, alpha, t_final must be finite, t_final > 0, stride >= 1")
+        if not (finite and round(t_final / cfg.dt) >= 1 and stride >= 1):  # run_simulation's step count
+            raise ValueError("box, radius, alpha, t_final must be finite, t_final > dt/2, stride >= 1")
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,10 +19,8 @@ from scipy.special import ive
 
 __all__ = [
     "ModelParams",
-    "Equilibrium",
     "von_mises_pdf",
     "gaussian_pdf",
-    "mu_pdf",
     "c1_coefficient",
     "c1_quadrature",
     "wrap_angle",
@@ -32,6 +30,8 @@ __all__ = [
 
 #: default number of nodes for periodic-trapezoid quadrature in theta
 THETA_QUAD_NODES = 512
+#: psi is represented for |kappa| up to this many equilibrium standard deviations
+KAPPA_CUTOFF_SIGMAS = 12.0
 
 
 def wrap_angle(theta):
@@ -72,19 +72,6 @@ class ModelParams:
         return self.alpha**2 / self.lam**2
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    """An equilibrium rho * mu_theta_bar: total mass rho and flux direction theta_bar."""
-
-    rho: float
-    theta_bar: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-        object.__setattr__(self, "theta_bar", wrap_angle(self.theta_bar))
-
-
 def von_mises_pdf(params: ModelParams, theta):
     """Von Mises density M(theta) = exp(k cos theta) / (2 pi I0(k)), k = lam^2/alpha^2, in scaled form."""
     k = params.concentration
@@ -95,11 +82,6 @@ def gaussian_pdf(params: ModelParams, kappa):
     """Gaussian density N(kappa) with mean 0 and variance alpha^2/lam."""
     var = params.kappa_variance
     return np.exp(-np.asarray(kappa) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def mu_pdf(params: ModelParams, theta, kappa):
-    """Equilibrium density mu(theta, kappa) = M(theta) N(kappa)."""
-    return von_mises_pdf(params, theta) * gaussian_pdf(params, kappa)
 
 
 def c1_coefficient(params: ModelParams) -> float:
@@ -115,16 +97,16 @@ def c1_quadrature(params: ModelParams, n_nodes: int = THETA_QUAD_NODES) -> float
     return float(np.sum(np.cos(theta) * von_mises_pdf(params, theta)) * w)
 
 
-def theta_nodes(n_nodes: int = THETA_QUAD_NODES) -> np.ndarray:
+def theta_nodes(n_nodes: int) -> np.ndarray:
     """Uniform periodic nodes on [-pi, pi), spacing 2 pi / n_nodes."""
     return -math.pi + 2.0 * math.pi * np.arange(n_nodes) / n_nodes
 
 
-def kappa_cutoff(params: ModelParams, n_sigma: float = 12.0) -> float:
-    """Truncation |kappa| <= n_sigma * alpha / sqrt(lam); Gaussian tail beyond is < 1e-31 at the default.
+def kappa_cutoff(params: ModelParams) -> float:
+    """Truncation |kappa| <= KAPPA_CUTOFF_SIGMAS alpha / sqrt(lam); Gaussian tail beyond < 1e-31.
 
     This is the domain on which the spectral invariant psi is represented.
     Beyond it the truncated Hermite series is not psi (it is round-off
     amplified by the top Hermite degrees), so grid.residual_inf ignores it.
     """
-    return n_sigma * params.alpha / math.sqrt(params.lam)
+    return KAPPA_CUTOFF_SIGMAS * params.alpha / math.sqrt(params.lam)

@@ -1,9 +1,9 @@
-"""Finite-difference representation of functions of (theta, kappa).
+"""Finite-difference verifier of the spectral invariant, behind ``ptwa residual``.
 
-Used to *verify* the spectral solver and the closed-form equilibria, never as
-the primary solver: the collision operator Q and the invariant-defining
-operator L are discretized with second-order centered differences (periodic in
-theta, truncated in kappa) and applied to sampled fields.
+Used to *verify* the spectral solver, never as the primary solver: the
+invariant-defining operator L is discretized with second-order centered
+differences (periodic in theta, truncated in kappa), and residual_inf is the
+sup of |L(psi) + sin(theta)| over a sampled psi.
 """
 
 from __future__ import annotations
@@ -15,18 +15,7 @@ import numpy as np
 
 from .equilibrium import ModelParams, kappa_cutoff
 
-__all__ = [
-    "Grid2D",
-    "GridField",
-    "flux_direction",
-    "apply_Q",
-    "apply_L",
-    "residual_inf",
-    "dissipation",
-]
-
-#: isotropy tolerance for the flux, relative to total mass
-FLUX_TOL = 1e-12
+__all__ = ["Grid2D", "GridField", "apply_L", "residual_inf"]
 
 
 @dataclass(frozen=True)
@@ -87,34 +76,6 @@ class GridField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def sample(cls, grid: Grid2D, fn) -> "GridField":
-        th, ka = grid.meshgrid()
-        return cls(grid, fn(th, ka))
-
-    def quad_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights (periodic in theta, trapezoid in kappa)."""
-        wk = np.full(self.grid.n_kappa, self.grid.d_kappa)
-        wk[0] *= 0.5
-        wk[-1] *= 0.5
-        return self.grid.d_theta * wk[None, :]
-
-    def integrate(self, integrand: np.ndarray | None = None) -> float:
-        v = self.values if integrand is None else integrand
-        return float(np.sum(v * self.quad_weights()))
-
-
-def flux_direction(f: GridField):
-    """Direction of the angular flux j = integral tau(theta) f dtheta dkappa, or None if isotropic."""
-    th, _ = f.grid.meshgrid()
-    w = f.quad_weights()
-    jx = float(np.sum(np.cos(th) * f.values * w))
-    jy = float(np.sum(np.sin(th) * f.values * w))
-    mass = abs(f.integrate())
-    if math.hypot(jx, jy) <= FLUX_TOL * max(mass, 1e-300):
-        return None
-    return math.atan2(jy, jx)
-
 
 def _d_theta(values: np.ndarray, dth: float) -> np.ndarray:
     """Centered periodic derivative along axis 0."""
@@ -139,28 +100,10 @@ def _d2_kappa(values: np.ndarray, dk: float) -> np.ndarray:
     return out
 
 
-def apply_Q(f: GridField, theta_bar: float, params: ModelParams) -> GridField:
-    """Collision operator Q(f) = -kappa df/dtheta - lam sin(theta_bar - theta) df/dkappa
-    + lam d/dkappa(kappa f) + alpha^2 d2f/dkappa2, discretized with centered differences.
-
-    Only the interior (grid.interior_mask()) carries the second-order stencil;
-    the kappa boundary rows fall back to one-sided differences.
-    """
-    g = f.grid
-    th, ka = g.meshgrid()
-    v = f.values
-    out = (
-        -ka * _d_theta(v, g.d_theta)
-        - params.lam * np.sin(theta_bar - th) * _d_kappa(v, g.d_kappa)
-        + params.lam * _d_kappa(ka * v, g.d_kappa)
-        + params.alpha**2 * _d2_kappa(v, g.d_kappa)
-    )
-    return GridField(g, out)
-
-
 def apply_L(psi: GridField, params: ModelParams) -> GridField:
     """Invariant-defining operator L(psi) = kappa dpsi/dtheta - lam sin(theta) dpsi/dkappa
-    - lam kappa dpsi/dkappa + alpha^2 d2psi/dkappa2, same discretization contract as apply_Q."""
+    - lam kappa dpsi/dkappa + alpha^2 d2psi/dkappa2, in centered differences: second order
+    on grid.interior_mask(), one-sided on the kappa boundary rows."""
     g = psi.grid
     th, ka = g.meshgrid()
     v = psi.values
@@ -186,20 +129,3 @@ def residual_inf(psi: GridField, params: ModelParams) -> float:
     res = apply_L(psi, params).values + np.sin(th)
     represented = psi.grid.interior_mask() & (np.abs(ka) <= kappa_cutoff(params))
     return float(np.max(np.abs(res[represented])))
-
-
-def dissipation(f: GridField, params: ModelParams):
-    """Entropy dissipation: integral of Q(f) * f / mu_theta_bar.
-
-    Non-positive up to discretization slack; returns None when the field is
-    isotropic (no flux direction).
-    """
-    from .equilibrium import mu_pdf
-
-    theta_bar = flux_direction(f)
-    if theta_bar is None:
-        return None
-    th, ka = f.grid.meshgrid()
-    mu_tb = mu_pdf(params, th - theta_bar, ka)
-    q = apply_Q(f, theta_bar, params)
-    return f.integrate(q.values * f.values / mu_tb)

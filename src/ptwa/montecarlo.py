@@ -125,7 +125,8 @@ def feynman_kac_psi(cfg: OracleConfig, theta0: float, kappa0: float, stream_offs
 
     Returns dict(estimate=..., std_error=..., tail=E[sin theta at t_final]).
     Warns if the tail mean exceeds 3x its own standard error, signaling an
-    insufficient horizon.
+    insufficient horizon.  One pair (paths 2 or 3) has no spread: std_error is
+    inf and the tail is not checked.
     """
     n_pairs = cfg.paths // 2
     values = np.empty(n_pairs)
@@ -137,9 +138,11 @@ def feynman_kac_psi(cfg: OracleConfig, theta0: float, kappa0: float, stream_offs
         values[done : done + chunk] = 0.5 * (integral[:chunk] + integral[chunk:])
         tails[done : done + chunk] = 0.5 * (tail[:chunk] + tail[chunk:])
     estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs)) if n_pairs > 1 else float("inf")
     tail_mean = float(np.mean(tails))
-    tail_se = float(np.std(tails, ddof=1) / math.sqrt(len(tails)))
+    if n_pairs == 1:
+        return {"estimate": estimate, "std_error": float("inf"), "tail": tail_mean}
+    std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs))
+    tail_se = float(np.std(tails, ddof=1) / math.sqrt(n_pairs))
     if abs(tail_mean) > 3.0 * max(tail_se, 1e-300):
         warnings.warn(
             f"horizon t_final={cfg.t_final} may be too short: "
@@ -167,7 +170,8 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     psi is estimated on a product grid: uniform periodic nodes in theta
     (trapezoid against the Von Mises weight) times Gauss-Hermite nodes in kappa
     (exact against the Gaussian weight); each grid point uses its own
-    decorrelated path streams, with cfg.paths paths per point.
+    decorrelated path streams, with cfg.paths paths per point, and the theta = 0
+    row, where sin(theta) = 0, is not simulated.
     """
     model = cfg.model
     th = theta_nodes(n_grid_theta)
@@ -176,27 +180,29 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     ka = nodes * model.alpha / math.sqrt(model.lam)
     w_ka = weights / math.sqrt(2.0 * math.pi)
 
-    g1 = g2 = v1 = v2 = 0.0
-    point = 0
+    g1 = g2 = 0.0
+    a, b, se_psi = [], [], []  # per point: the weights of psi in g1 and g2, and psi's error
     for i in range(n_grid_theta):
+        if math.sin(th[i]) == 0.0:  # the node theta = 0 weighs psi by 0 in both sums
+            continue
         for j in range(n_grid_kappa):
+            point = i * n_grid_kappa + j
             res = feynman_kac_psi(cfg, th[i], ka[j], stream_offset=point * cfg.paths)
-            w = w_th[i] * w_ka[j]
-            g1 += w * math.sin(th[i]) * res["estimate"]
-            g2 += w * math.sin(th[i]) * math.cos(th[i]) * res["estimate"]
-            v1 += (w * math.sin(th[i]) * res["std_error"]) ** 2
-            v2 += (w * math.sin(th[i]) * math.cos(th[i]) * res["std_error"]) ** 2
-            point += 1
+            a.append(w_th[i] * w_ka[j] * math.sin(th[i]))
+            b.append(a[-1] * math.cos(th[i]))
+            se_psi.append(res["std_error"])
+            g1 += a[-1] * res["estimate"]
+            g2 += b[-1] * res["estimate"]
     if g1 == 0.0:
         raise ZeroDivisionError("Monte-Carlo gamma1 vanished; cannot form c2")
     c2 = g2 / g1
-    # delta method for the ratio of independent-point sums
-    se = abs(c2) * math.sqrt(v2 / g2**2 + v1 / g1**2) if g2 != 0 else math.sqrt(v2) / abs(g1)
+    # delta method: g1 and g2 share every psi estimate, and dc2/dpsi_p = (b_p - c2 a_p) / g1
+    a, b, se_psi = np.array(a), np.array(b), np.array(se_psi)
     return MCC2Result(
         c2=float(c2),
-        std_error=float(se),
+        std_error=float(np.linalg.norm((b - c2 * a) * se_psi) / abs(g1)),
         gamma1=float(g1),
-        gamma1_std_error=math.sqrt(v1),
+        gamma1_std_error=float(np.linalg.norm(a * se_psi)),
         gamma2=float(g2),
-        gamma2_std_error=math.sqrt(v2),
+        gamma2_std_error=float(np.linalg.norm(b * se_psi)),
     )

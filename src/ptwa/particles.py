@@ -5,8 +5,8 @@ curvature relaxes toward the target sin(theta_bar - theta) set by the mean
 heading of neighbors within a perception radius (periodic minimum image), plus
 Brownian forcing; the heading integrates the curvature and the position
 integrates the heading.  Diagnostics track the empirical order parameter,
-curvature variance, and angle/curvature histograms against the closed-form
-equilibrium.
+curvature variance, and the histogram of headings relative to the mean
+direction against the closed-form equilibrium.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ J_TOL = 1e-12
 CELL_SLACK = 1e-9
 #: candidate pairs listed at once; bounds the pair pass's memory at any density
 PAIR_BLOCK = 2**18
-#: histogram bins for the angle and curvature diagnostics
+#: histogram bins for the relative-angle diagnostic
 HIST_BINS = 36
 #: stream index reserved for drawing the initial condition
 INIT_STREAM = 2**62
@@ -92,8 +92,6 @@ class SimStats:
     curvature_variance: float
     relative_angle_histogram: np.ndarray
     relative_angle_edges: np.ndarray
-    curvature_histogram: np.ndarray
-    curvature_edges: np.ndarray
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -191,22 +189,18 @@ def step(agents: Agents, cfg: SimConfig, step_index: int = 0) -> Agents:
 
 
 def collect_stats(agents: Agents) -> SimStats:
-    """Order parameter, mean direction, curvature variance, and the two histograms."""
-    n = len(agents)
+    """Order parameter, mean direction, curvature variance, and the relative-angle histogram."""
     jx = float(np.mean(np.cos(agents.theta)))
     jy = float(np.mean(np.sin(agents.theta)))
     mean_dir = math.atan2(jy, jx)
     rel = wrap_angle(agents.theta - mean_dir)
     angle_hist, angle_edges = np.histogram(rel, bins=HIST_BINS, range=(-math.pi, math.pi))
-    kappa_hist, kappa_edges = np.histogram(agents.kappa, bins=HIST_BINS)
     return SimStats(
         order_parameter=math.hypot(jx, jy),
         mean_direction=mean_dir,
         curvature_variance=float(np.var(agents.kappa)),
         relative_angle_histogram=angle_hist,
         relative_angle_edges=angle_edges,
-        curvature_histogram=kappa_hist,
-        curvature_edges=kappa_edges,
     )
 
 

@@ -188,19 +188,6 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     return CoeffMatrix(entries=x, residual=residual)
 
 
-def _constant_coefficients(sp: SpectralParams) -> np.ndarray:
-    """Basis coefficients of the constant function 1 (truncated): C(j, 0) = I_j(k/2) / sqrt(I0(k))."""
-    c = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    c[:, 0] = von_mises_projection(sp, 0)
-    return c
-
-
-def mu_mean(x: CoeffMatrix, sp: SpectralParams) -> float:
-    """<psi>_mu computed spectrally; zero for a solution on the hyperplane E."""
-    ones = _constant_coefficients(sp)
-    return float(np.real(np.sum(np.conj(ones) * x.entries)))
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _real
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     """Evaluate psi(theta, kappa) = sum_jk C_j^k phi_j(theta) P_k(kappa).

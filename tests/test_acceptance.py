@@ -12,17 +12,10 @@ import numpy as np
 import pytest
 import scipy.stats
 from galerkin_oracle import stencil_galerkin_matrix
+from kinetic_oracle import apply_Q, mu_pdf
 
-from ptwa.equilibrium import (
-    Equilibrium,
-    ModelParams,
-    c1_coefficient,
-    c1_quadrature,
-    mu_pdf,
-    von_mises_pdf,
-    wrap_angle,
-)
-from ptwa.grid import Grid2D, GridField, apply_Q, residual_inf
+from ptwa.equilibrium import ModelParams, c1_coefficient, c1_quadrature, von_mises_pdf, wrap_angle
+from ptwa.grid import Grid2D, residual_inf
 from ptwa.hydro import characteristic_speeds, compute_hydro_coeffs, hyperbolicity_check
 from ptwa.montecarlo import OracleConfig, feynman_kac_psi, mc_c2
 from ptwa.particles import SimConfig, run_simulation
@@ -68,14 +61,13 @@ def fd_residual(m, n, params):
 def test_criterion_1_collision_residual_refinement(capsys):
     """Q annihilates rho * mu_theta_bar; the grid residual shrinks at second order."""
     t0 = time.perf_counter()
-    eq = Equilibrium(rho=1.3, theta_bar=0.7)
+    rho, theta_bar = 1.3, 0.7
     residuals = []
     for n_theta, n_kappa in ((32, 51), (64, 101)):
         g = Grid2D(n_theta, -5.0, 5.0, n_kappa)
-        tt, kk = np.meshgrid(g.theta, g.kappa, indexing="ij")
-        f = GridField(g, eq.rho * mu_pdf(UNIT, wrap_angle(tt - eq.theta_bar), kk))
-        q = apply_Q(f, eq.theta_bar, UNIT)
-        residuals.append(float(np.max(np.abs(q.values[g.interior_mask()]))))
+        tt, kk = g.meshgrid()
+        q = apply_Q(g, rho * mu_pdf(UNIT, wrap_angle(tt - theta_bar), kk), theta_bar, UNIT)
+        residuals.append(float(np.max(np.abs(q[g.interior_mask()]))))
     ratio = residuals[0] / residuals[1]
     elapsed = time.perf_counter() - t0
     ok = 3.2 <= ratio <= 4.8 and elapsed < 1.0

@@ -307,6 +307,15 @@ class TestSimulate:
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_t_final_below_half_a_step(self, tmp_path, capsys):
+        # round(t_final / dt) = 0 steps would leave no final snapshot to report
+        out = tmp_path / "stats.csv"
+        for t_final in (0.01, 0.025):
+            cfg = self.write_config(tmp_path, dt=0.05, t_final=t_final)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+            assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kinetic_oracle import mu_pdf
 
 from ptwa.equilibrium import (
     ModelParams,
     c1_coefficient,
     c1_quadrature,
     gaussian_pdf,
-    mu_pdf,
     von_mises_pdf,
     wrap_angle,
 )

@@ -1,20 +1,13 @@
-"""Finite-difference plumbing: operators Q and L, flux direction, dissipation."""
+"""Finite-difference plumbing: operator L, and the test oracle's Q, flux direction, dissipation."""
 
 import math
 
 import numpy as np
 import pytest
+from kinetic_oracle import apply_Q, dissipation, flux_direction, integrate, mu_pdf
 
-from ptwa.equilibrium import ModelParams, gaussian_pdf, kappa_cutoff, mu_pdf, von_mises_pdf
-from ptwa.grid import (
-    Grid2D,
-    GridField,
-    apply_L,
-    apply_Q,
-    dissipation,
-    flux_direction,
-    residual_inf,
-)
+from ptwa.equilibrium import ModelParams, gaussian_pdf, kappa_cutoff, von_mises_pdf
+from ptwa.grid import Grid2D, GridField, apply_L, residual_inf
 
 UNIT = ModelParams(1.0, 1.0)
 
@@ -47,30 +40,30 @@ class TestGrid2D:
 class TestFluxDirection:
     def test_equilibrium_points_along_theta_bar(self):
         g = fine_grid()
+        th, ka = g.meshgrid()
         for theta_bar in (0.0, math.pi / 3):
-            f = GridField.sample(g, lambda th, ka: mu_pdf(UNIT, th - theta_bar, ka))
-            assert flux_direction(f) == pytest.approx(theta_bar, abs=1e-6)
+            f = mu_pdf(UNIT, th - theta_bar, ka)
+            assert flux_direction(g, f) == pytest.approx(theta_bar, abs=1e-6)
 
     def test_isotropic_returns_none(self):
         g = fine_grid()
-        f = GridField.sample(g, lambda th, ka: np.ones_like(th) * gaussian_pdf(UNIT, ka))
-        assert flux_direction(f) is None
+        th, ka = g.meshgrid()
+        assert flux_direction(g, np.ones_like(th) * gaussian_pdf(UNIT, ka)) is None
 
 
 class TestApplyQ:
     def test_zero_field(self):
         g = fine_grid(32, 51)
-        f = GridField.sample(g, lambda th, ka: np.zeros_like(th))
-        assert np.all(apply_Q(f, 0.3, UNIT).values == 0.0)
+        assert np.all(apply_Q(g, np.zeros((32, 51)), 0.3, UNIT) == 0.0)
 
     def test_equilibrium_residual_second_order(self):
         # Q(rho mu_theta_bar) = 0 exactly; the discrete residual is O(Delta^2)
         sups = []
         for n_theta, n_kappa in [(32, 51), (64, 101)]:
             g = Grid2D(n_theta, -5.0, 5.0, n_kappa)
-            f = GridField.sample(g, lambda th, ka: 1.7 * mu_pdf(UNIT, th - 0.4, ka))
-            q = apply_Q(f, 0.4, UNIT)
-            sups.append(np.max(np.abs(q.values[g.interior_mask()])))
+            th, ka = g.meshgrid()
+            q = apply_Q(g, 1.7 * mu_pdf(UNIT, th - 0.4, ka), 0.4, UNIT)
+            sups.append(np.max(np.abs(q[g.interior_mask()])))
         ratio = sups[0] / sups[1]
         assert 3.2 <= ratio <= 4.8
 
@@ -79,24 +72,24 @@ class TestApplyQ:
         g = fine_grid(32, 51)
         shift = 5
         phi = shift * g.d_theta
-        f = GridField.sample(g, lambda th, ka: mu_pdf(UNIT, th, ka) * (1 + 0.2 * np.sin(th + ka)))
-        q = apply_Q(f, 0.0, UNIT).values
-        f_rot = GridField(g, np.roll(f.values, shift, axis=0))
-        q_rot = apply_Q(f_rot, phi, UNIT).values
+        th, ka = g.meshgrid()
+        f = mu_pdf(UNIT, th, ka) * (1 + 0.2 * np.sin(th + ka))
+        q = apply_Q(g, f, 0.0, UNIT)
+        q_rot = apply_Q(g, np.roll(f, shift, axis=0), phi, UNIT)
         assert np.allclose(np.roll(q, shift, axis=0), q_rot, atol=1e-12)
 
     def test_mass_conservation(self):
         g = fine_grid()
-        f = GridField.sample(g, lambda th, ka: mu_pdf(UNIT, th, ka) * (1 + 0.3 * np.cos(th)))
-        q = apply_Q(f, 0.0, UNIT)
+        th, ka = g.meshgrid()
+        q = apply_Q(g, mu_pdf(UNIT, th, ka) * (1 + 0.3 * np.cos(th)), 0.0, UNIT)
         # integral of Q(f) vanishes up to O(Delta^2) boundary/truncation slack
-        assert f.integrate(q.values) == pytest.approx(0.0, abs=1e-4)
+        assert integrate(g, q) == pytest.approx(0.0, abs=1e-4)
 
 
 class TestApplyL:
     def test_constant_in_kernel(self):
         g = fine_grid(32, 51)
-        psi = GridField.sample(g, lambda th, ka: np.full_like(th, 2.5))
+        psi = GridField(g, np.full((32, 51), 2.5))
         assert np.allclose(apply_L(psi, UNIT).values, 0.0, atol=1e-12)
 
     def test_linear_kappa_closed_form(self):
@@ -135,10 +128,10 @@ class TestApplyL:
         g = fine_grid(64, 161, half_width=8.0)
         th, ka = g.meshgrid()
         bump = np.exp(-(ka**2) / 2.0)
-        f = GridField(g, mu_pdf(UNIT, th, ka) * (1 + 0.3 * np.sin(th)) * bump)
-        phi = GridField(g, np.cos(th) * bump)
-        lhs = f.integrate(apply_Q(f, 0.0, UNIT).values * phi.values)
-        rhs = f.integrate(f.values * apply_L(phi, UNIT).values)
+        f = mu_pdf(UNIT, th, ka) * (1 + 0.3 * np.sin(th)) * bump
+        phi = np.cos(th) * bump
+        lhs = integrate(g, apply_Q(g, f, 0.0, UNIT) * phi)
+        rhs = integrate(g, f * apply_L(GridField(g, phi), UNIT).values)
         assert lhs == pytest.approx(rhs, abs=5e-3 * max(1.0, abs(lhs)))
 
 
@@ -172,14 +165,14 @@ class TestResidualInf:
 class TestDissipation:
     def test_equilibrium_has_zero_dissipation(self):
         g = fine_grid()
-        f = GridField.sample(g, lambda th, ka: mu_pdf(UNIT, th, ka))
-        d = dissipation(f, UNIT)
+        th, ka = g.meshgrid()
+        d = dissipation(g, mu_pdf(UNIT, th, ka), UNIT)
         assert d == pytest.approx(0.0, abs=1e-4)
 
     def test_isotropic_returns_none(self):
         g = fine_grid()
-        f = GridField.sample(g, lambda th, ka: np.ones_like(th) * gaussian_pdf(UNIT, ka))
-        assert dissipation(f, UNIT) is None
+        th, ka = g.meshgrid()
+        assert dissipation(g, np.ones_like(th) * gaussian_pdf(UNIT, ka), UNIT) is None
 
     @pytest.mark.parametrize(
         "perturbation",
@@ -189,13 +182,13 @@ class TestDissipation:
         # independent oracle: dissipation = -alpha^2 int (N/M) |d/dkappa (f/N)|^2
         g = fine_grid(64, 201, half_width=6.0)
         th, ka = g.meshgrid()
-        f = GridField(g, mu_pdf(UNIT, th, ka) * perturbation(th, ka))
-        lhs = dissipation(f, UNIT)
-        ratio = f.values / gaussian_pdf(UNIT, ka)
+        f = mu_pdf(UNIT, th, ka) * perturbation(th, ka)
+        lhs = dissipation(g, f, UNIT)
+        ratio = f / gaussian_pdf(UNIT, ka)
         d_ratio = np.gradient(ratio, g.kappa, axis=1)
         rhs_integrand = (
             -UNIT.alpha**2 * gaussian_pdf(UNIT, ka) / von_mises_pdf(UNIT, th) * d_ratio**2
         )
-        rhs = f.integrate(rhs_integrand)
+        rhs = integrate(g, rhs_integrand)
         assert lhs <= 1e-6
         assert lhs == pytest.approx(rhs, rel=0.05, abs=1e-6)

@@ -1,6 +1,7 @@
 """Feynman-Kac Monte-Carlo oracle for the collisional invariant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,11 +173,20 @@ class TestFeynmanKacPsi:
         assert abs(coarse["estimate"] - fine["estimate"]) <= 3.0 * combined
 
     def test_adequate_horizon_is_quiet(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             feynman_kac_psi(quick_cfg(paths=2000, t_final=40.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("paths", [2, 3])
+    def test_one_pair_is_quiet(self, paths):
+        # one antithetic pair has no spread: no standard error and no horizon check
+        cfg = OracleConfig(model=ModelParams(1.0, 0.1), dt=5e-3, t_final=10.0, paths=paths, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = feynman_kac_psi(cfg, 1.0, 0.0)
+            mc = mc_c2(cfg, n_grid_theta=6, n_grid_kappa=2)  # with a node at theta = 0
+        assert res["std_error"] == math.inf and mc.std_error == math.inf
+        assert math.isfinite(res["estimate"]) and math.isfinite(res["tail"])
 
     def test_short_horizon_warns(self):
         # weak noise mixes slowly: E[sin theta] still oscillates at the minimum horizon
@@ -200,3 +210,27 @@ class TestMcC2:
         res = mc_c2(cfg, n_grid_theta=12, n_grid_kappa=6)
         ref = compute_hydro_coeffs(x, sp).c2
         assert res.c2 == pytest.approx(ref, rel=0.15)
+
+    def test_std_error_carries_the_covariance_of_the_two_sums(self, monkeypatch):
+        # gamma1 and gamma2 weigh the same psi estimates, so the error of c2 is the
+        # gradient of c2 in each point's psi (central differences) times that point's error
+        bump, errors = {}, {}
+
+        def fake_psi(cfg, theta0, kappa0, stream_offset=0):
+            point = stream_offset // cfg.paths
+            errors[point] = 0.01 * (1.0 + theta0**2 + kappa0**2)
+            estimate = math.sin(theta0) * (1.0 + 0.5 * math.cos(theta0)) + 0.2 * kappa0
+            return {"estimate": estimate + bump.get(point, 0.0), "std_error": errors[point]}
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", fake_psi)
+        cfg, h = quick_cfg(paths=10), 1e-4
+        res = mc_c2(cfg, n_grid_theta=8, n_grid_kappa=4)
+        variance = 0.0
+        for point in list(errors):  # every point mc_c2 estimates
+            bump[point] = h
+            up = mc_c2(cfg, n_grid_theta=8, n_grid_kappa=4).c2
+            bump[point] = -h
+            down = mc_c2(cfg, n_grid_theta=8, n_grid_kappa=4).c2
+            del bump[point]
+            variance += ((up - down) / (2.0 * h) * errors[point]) ** 2
+        assert res.std_error == pytest.approx(math.sqrt(variance), rel=1e-6)

@@ -346,7 +346,6 @@ class TestCollectStats:
         agents = initial_state(config(n_agents=100))
         s = collect_stats(agents)
         assert s.relative_angle_histogram.sum() == 100
-        assert s.curvature_histogram.sum() == 100
         assert len(s.relative_angle_edges) == len(s.relative_angle_histogram) + 1
 
 

@@ -6,20 +6,19 @@ import math
 import numpy as np
 import pytest
 from galerkin_oracle import stencil_galerkin_matrix, theta_marginal_times_m
+from kinetic_oracle import constant_coefficients, mu_mean, mu_pdf
 from numpy.polynomial.hermite_e import hermeval
 
 from ptwa import spectral
-from ptwa.equilibrium import ModelParams, mu_pdf, theta_nodes, von_mises_pdf
+from ptwa.equilibrium import ModelParams, theta_nodes, von_mises_pdf
 from ptwa.grid import Grid2D, residual_inf
 from ptwa.hydro import compute_hydro_coeffs
 from ptwa.spectral import (
     CoeffMatrix,
     SpectralParams,
-    _constant_coefficients,
     apply_operator,
     assemble_band,
     assemble_rhs,
-    mu_mean,
     psi_on_grid,
     reconstruct_psi,
     solve_gci,
@@ -197,7 +196,7 @@ class TestReducedSolve:
             sp = SpectralParams(m=m, n=n, model=model)
             b = assemble_rhs(sp).flatten(order="F")
             vec, *_ = np.linalg.lstsq(stencil_galerkin_matrix(sp), b, rcond=None)
-            ones = _constant_coefficients(sp).flatten(order="F")
+            ones = constant_coefficients(sp).flatten(order="F")
             vec -= np.vdot(ones, vec) / np.vdot(ones, ones) * ones
             oracle = CoeffMatrix(vec.reshape((sp.n_fourier, sp.n_hermite), order="F"))
             x = solve_gci(sp)
