@@ -3,7 +3,7 @@
 The hydrodynamic limit carries three coefficients: the equilibrium order
 parameter c1, the convection speed c2 = gamma2/gamma1 built from moments of
 the collisional-invariant solution, and the pressure coefficient
-d = alpha^2/lambda.  This script computes them, prints the characteristic
+d = alpha^2/lambda^2.  This script computes them, prints the characteristic
 speeds of the linearized system across angles, and runs a hyperbolicity
 sweep over a parameter box.
 """
@@ -22,7 +22,7 @@ print(f"c1 = {h.c1:.8f}   c2 = {h.c2:.8f}   d = {h.d:.8f}")
 # --- characteristic speeds across propagation angles ---------------------
 print("\n theta      minus       plus")
 for theta in np.linspace(0.0, np.pi, 5):
-    minus, plus = characteristic_speeds(h, float(theta))
+    plus, minus = characteristic_speeds(h, float(theta))
     print(f"{theta:6.3f}   {minus:+.6f}   {plus:+.6f}")
 
 # --- hyperbolicity over a parameter box ----------------------------------

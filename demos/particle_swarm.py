@@ -7,7 +7,7 @@ and the curvature variance approaches alpha^2/lambda.
 """
 
 from ptwa.equilibrium import ModelParams, c1_coefficient
-from ptwa.particles import SimConfig, run_simulation
+from ptwa.particles import SimConfig, collect_stats, run_simulation
 
 model = ModelParams(1.0, 1.0)
 cfg = SimConfig(
@@ -23,10 +23,10 @@ print(f"predicted order parameter c1 = {c1_coefficient(model):.4f}")
 print(f"predicted curvature variance = {model.kappa_variance:.4f}\n")
 
 print("    t    order parameter   curvature variance")
-agents, history = run_simulation(cfg, t_final=60.0, stats_every=1000)
-for t, stats in history:
+for t, agents in run_simulation(cfg, t_final=60.0, every=1000):
+    stats = collect_stats(agents)
     print(f"{t:6.1f}       {stats.order_parameter:.4f}            {stats.curvature_variance:.4f}")
 
-final = history[-1][1]
-print(f"\nfinal order parameter   {final.order_parameter:.4f}  (target {c1_coefficient(model):.4f})")
-print(f"final curvature variance {final.curvature_variance:.4f}  (target {model.kappa_variance:.4f})")
+# the last snapshot is taken at the final step
+print(f"\nfinal order parameter   {stats.order_parameter:.4f}  (target {c1_coefficient(model):.4f})")
+print(f"final curvature variance {stats.curvature_variance:.4f}  (target {model.kappa_variance:.4f})")

@@ -171,8 +171,12 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     (trapezoid against the Von Mises weight) times Gauss-Hermite nodes in kappa
     (exact against the Gaussian weight); each grid point uses its own
     decorrelated path streams, with cfg.paths paths per point, and the theta = 0
-    row, where sin(theta) = 0, is not simulated.
+    row, where sin(theta) = 0, is not simulated.  Raises ValueError, before any
+    path runs, if n_grid_theta divides 4: every node is then a multiple of pi/2,
+    where sin(theta) cos(theta) vanishes, so gamma2 and c2 would be round-off.
     """
+    if 4 % n_grid_theta == 0:
+        raise ValueError(f"n_grid_theta={n_grid_theta} puts every theta node where sin cos = 0")
     model = cfg.model
     th = theta_nodes(n_grid_theta)
     w_th = von_mises_pdf(model, th) * (2.0 * math.pi / n_grid_theta)

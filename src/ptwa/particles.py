@@ -214,21 +214,15 @@ def initial_state(cfg: SimConfig) -> Agents:
     return Agents(x=x, theta=wrap_angle(theta), kappa=kappa)
 
 
-def run_simulation(cfg: SimConfig, t_final: float, stats_every: int = 100, callback=None):
-    """Run from the seeded initial condition to t_final.
+def run_simulation(cfg: SimConfig, t_final: float, every: int = 100):
+    """Run from the seeded initial condition to t_final, yielding snapshots.
 
-    Returns (final Agents, list of (t, SimStats) taken every stats_every steps
-    and at the final step).  The optional callback(step_index, t, agents) runs
-    after every step; use it for trajectory dumps.
+    Yields (t, Agents) after every `every`-th step and after the last step,
+    with t = (step_index + 1) * dt.
     """
     n_steps = int(round(t_final / cfg.dt))
     agents = initial_state(cfg)
-    history = []
     for s in range(n_steps):
         agents = step(agents, cfg, step_index=s)
-        t = (s + 1) * cfg.dt
-        if callback is not None:
-            callback(s, t, agents)
-        if (s + 1) % stats_every == 0 or s + 1 == n_steps:
-            history.append((t, collect_stats(agents)))
-    return agents, history
+        if (s + 1) % every == 0 or s + 1 == n_steps:
+            yield (s + 1) * cfg.dt, agents

@@ -18,7 +18,7 @@ from ptwa.equilibrium import ModelParams, c1_coefficient, c1_quadrature, von_mis
 from ptwa.grid import Grid2D, residual_inf
 from ptwa.hydro import characteristic_speeds, compute_hydro_coeffs, hyperbolicity_check
 from ptwa.montecarlo import OracleConfig, feynman_kac_psi, mc_c2
-from ptwa.particles import SimConfig, run_simulation
+from ptwa.particles import SimConfig, collect_stats, run_simulation
 from ptwa.spectral import (
     SpectralParams,
     apply_operator,
@@ -170,6 +170,7 @@ def test_criterion_5_solution_symmetries(capsys, unit_big):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_monte_carlo_oracle(capsys, unit_big):
     t0 = time.perf_counter()
     x, sp = unit_big
@@ -236,6 +237,7 @@ def test_criterion_8_hyperbolicity(capsys, unit_big):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_particle_equilibration(capsys):
     t0 = time.perf_counter()
     cfg = SimConfig(
@@ -243,7 +245,7 @@ def test_criterion_9_particle_equilibration(capsys):
         include_self=True,
     )
     assert cfg.global_coupling
-    agents, history = run_simulation(cfg, t_final=200.0)
+    history = [(t, collect_stats(a)) for t, a in run_simulation(cfg, t_final=200.0)]
     stationary = [s for t, s in history if t >= 100.0]
     mean_var = float(np.mean([s.curvature_variance for s in stationary]))
     mean_order = float(np.mean([s.order_parameter for s in stationary]))

@@ -96,6 +96,16 @@ class TestGci:
         assert not (tmp_path / "run_psi.csv").exists()
         assert not (tmp_path / "run_coeffs.csv").exists()
 
+    @pytest.mark.parametrize("command", ["gci", "residual"])
+    def test_non_real_psi_exits_numerical(self, command, tmp_path, capsys):
+        # at lambda = 3, alpha = 0.5 1/sqrt(M) amplifies coefficient round-off near theta = pi
+        out = tmp_path / "run"
+        argv = [command, "--lambda", "3", "--alpha", "0.5", "-m", "12", "-n", "25"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: reconstruction has non-real")
+        assert list(tmp_path.iterdir()) == []
+
     def test_files_hold_the_solved_values(self, tmp_path):
         out = tmp_path / "run"
         argv = ["gci", "--lambda", "1.5", "--alpha", "0.8", "-m", "6", "-n", "13", "--delta", "0.5"]
@@ -218,6 +228,16 @@ class TestCoeffs:
         _, _, _, c2, g1, g2, d = (float(v) for v in read_lines(out)[2].split(","))
         assert all(math.isnan(v) for v in (c2, g1, g2)) and d == 1.0
 
+    def test_pivot_growth_point_is_solved(self, tmp_path):
+        # the (120, 61) band at lambda = 5, alpha = 0.2 needs one refinement step
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--lambda", "5", "--alpha-range", "0.2", "-m", "120",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, _, c2, g1, g2, _ = (float(v) for v in read_lines(out)[2].split(","))
+        assert c2 == pytest.approx(0.9975996795, rel=1e-9)
+        assert c2 == g2 / g1
+
     def test_prints_spectral_tail_per_point(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--lambda", "1.5", "--alpha-range", "0.5,2", "-m", "6", "-n", "13",
@@ -235,7 +255,7 @@ class TestCoeffs:
         from ptwa.montecarlo import OracleConfig, mc_c2
 
         out = tmp_path / "c.csv"
-        mc_flags = ["--mc-check", "--mc-paths", "200", "--mc-tfinal", "15", "--mc-grid", "4",
+        mc_flags = ["--mc-check", "--mc-paths", "200", "--mc-tfinal", "15", "--mc-grid", "3",
                     "--seed", "5"]
         code = main(
             ["coeffs", "--lambda", "0.7", "--alpha-range", "0.6,1.3", "-m", "6", "-n", "13",
@@ -247,12 +267,22 @@ class TestCoeffs:
         for row in lines[2:]:
             lam, alpha, *_, c2_mc, se_mc = (float(v) for v in row.split(","))
             cfg = OracleConfig(ModelParams(lam, alpha), dt=5e-3, t_final=15.0, paths=200, seed=5)
-            mc = mc_c2(cfg, n_grid_theta=4, n_grid_kappa=4)
+            mc = mc_c2(cfg, n_grid_theta=3, n_grid_kappa=3)
             assert (c2_mc, se_mc) == (mc.c2, mc.std_error)
         # an invalid Monte-Carlo setting is a configuration error
         code = main(["coeffs", "--alpha-range", "1", "--mc-check", "--mc-dt", "0.5",
                      "--out", str(tmp_path / "bad.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("grid", ["1", "2", "4"])
+    def test_mc_grid_without_sin_cos_nodes_is_a_config_error(self, grid, tmp_path, capsys):
+        # every theta node is a multiple of pi/2, so the Monte-Carlo c2 would be round-off
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--alpha-range", "1", "-m", "6", "-n", "13", "--mc-check",
+                     "--mc-paths", "100", "--mc-tfinal", "10", "--mc-grid", grid, "--out", str(out)])
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

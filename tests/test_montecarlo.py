@@ -204,12 +204,23 @@ class TestMcC2:
         assert float.hex(a.c2) == "0x1.6b00ab92bd674p-3"  # recorded before the streamed kernel
         assert abs(a.gamma1) > 3.0 * a.gamma1_std_error
 
+    @pytest.mark.slow
     def test_close_to_spectral(self, medium_solution):
         x, sp = medium_solution
         cfg = quick_cfg(paths=2000, t_final=40.0, seed=29)
         res = mc_c2(cfg, n_grid_theta=12, n_grid_kappa=6)
         ref = compute_hydro_coeffs(x, sp).c2
         assert res.c2 == pytest.approx(ref, rel=0.15)
+
+    @pytest.mark.parametrize("n_grid_theta", [1, 2, 4])
+    def test_grid_without_sin_cos_nodes_raises_before_any_path(self, n_grid_theta, monkeypatch):
+        # the nodes are multiples of pi/2, where the gamma2 weight sin cos vanishes
+        def no_paths(*args, **kwargs):
+            raise AssertionError("feynman_kac_psi ran")
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", no_paths)
+        with pytest.raises(ValueError, match="sin cos"):
+            mc_c2(quick_cfg(paths=10), n_grid_theta=n_grid_theta, n_grid_kappa=4)
 
     def test_std_error_carries_the_covariance_of_the_two_sums(self, monkeypatch):
         # gamma1 and gamma2 weigh the same psi estimates, so the error of c2 is the

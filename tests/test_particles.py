@@ -320,13 +320,14 @@ class TestStep:
     def test_local_radius_run_is_bitwise_deterministic(self):
         cfg = config(n_agents=500, radius=1.0)
         assert not cfg.global_coupling
-        a, history_a = run_simulation(cfg, t_final=20 * cfg.dt, stats_every=5)
-        b, history_b = run_simulation(cfg, t_final=20 * cfg.dt, stats_every=5)
+        snapshots_a = list(run_simulation(cfg, t_final=20 * cfg.dt, every=5))
+        snapshots_b = list(run_simulation(cfg, t_final=20 * cfg.dt, every=5))
+        a, b = snapshots_a[-1][1], snapshots_b[-1][1]
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.kappa, b.kappa)
-        order_a = [s.order_parameter for _, s in history_a]
-        assert order_a == [s.order_parameter for _, s in history_b]
+        order_a = [collect_stats(s).order_parameter for _, s in snapshots_a]
+        assert order_a == [collect_stats(s).order_parameter for _, s in snapshots_b]
 
 
 class TestCollectStats:
@@ -352,22 +353,23 @@ class TestCollectStats:
 class TestRunSimulation:
     def test_single_agent_order_parameter(self):
         cfg = config(n_agents=1)
-        agents, history = run_simulation(cfg, t_final=1.0, stats_every=5)
+        history = [(t, collect_stats(a)) for t, a in run_simulation(cfg, t_final=1.0, every=5)]
         assert all(s.order_parameter == pytest.approx(1.0) for _, s in history)
 
     def test_history_cadence_and_callback(self):
         cfg = config(n_agents=5)
-        seen = []
-        agents, history = run_simulation(
-            cfg, t_final=1.0, stats_every=10, callback=lambda s, t, a: seen.append(s)
-        )
-        n_steps = int(round(1.0 / cfg.dt))
-        assert seen == list(range(n_steps))
-        assert history[-1][0] == pytest.approx(1.0)
+        # 20 steps of dt = 0.05: a snapshot after steps 7 and 14, and after the last step
+        snapshots = list(run_simulation(cfg, t_final=1.0, every=7))
+        assert [t for t, _ in snapshots] == [7 * cfg.dt, 14 * cfg.dt, 20 * cfg.dt]
+        agents = initial_state(cfg)
+        for s in range(20):
+            agents = step(agents, cfg, step_index=s)
+        assert np.array_equal(snapshots[-1][1].theta, agents.theta)
+        assert snapshots[-1][0] == pytest.approx(1.0)
 
     def test_short_equilibration_smoke(self):
         # global coupling drives curvature variance toward alpha^2/lambda
         cfg = config(n_agents=400, radius=10.0, dt=0.05, seed=7)
-        agents, history = run_simulation(cfg, t_final=30.0, stats_every=100)
+        history = [(t, collect_stats(a)) for t, a in run_simulation(cfg, t_final=30.0, every=100)]
         late = [s.curvature_variance for _, s in history[len(history) // 2 :]]
         assert np.mean(late) == pytest.approx(1.0, rel=0.2)

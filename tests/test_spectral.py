@@ -204,6 +204,15 @@ class TestReducedSolve:
             c2 = compute_hydro_coeffs(x, sp).c2
             assert abs(c2 - compute_hydro_coeffs(oracle, sp).c2) < 1e-12
 
+    def test_pivot_growth_is_refined_away(self):
+        # partial pivoting grows the factors here: the first solve's residual is 5e-7
+        sp = SpectralParams(m=120, n=61, model=ModelParams(5.0, 0.2))
+        x = solve_gci(sp)
+        assert x.residual <= spectral.SOLVE_RTOL
+        assert x.symmetry_defects() == (0.0, 0.0)
+        assert mu_mean(x, sp) == 0.0
+        assert compute_hydro_coeffs(x, sp).c2 == pytest.approx(0.9975996795, rel=1e-9)
+
     def test_hard_corner_reconstructs_on_the_residual_grid(self):
         # a plain complex LU of the full system left 1.1e-2 imaginary residue here
         sp = SpectralParams(m=30, n=61, model=ModelParams(2.0, 0.5))
