@@ -21,7 +21,6 @@ it before the numerical libraries start their threads).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -119,6 +118,14 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+def _integer(raw: dict, key: str, default=None) -> int:
+    """int(raw.get(key, default)); a bool or a fractional number is a ValueError, not rounded."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _solve(lam: float, alpha: float, m: int, n: int) -> tuple[CoeffMatrix, SpectralParams]:
     sp = SpectralParams(m=m, n=n, model=ModelParams(lam=lam, alpha=alpha))
     return solve_gci(sp), sp
@@ -182,17 +189,17 @@ def cmd_residual(args) -> int:
 
 def cmd_coeffs(args) -> int:
     rows = []
-    mc_cfg = None
-    if args.mc_check:  # built here so a bad Monte-Carlo setting fails before the first solve
-        mc_cfg = OracleConfig(
-            model=ModelParams(lam=args.lam, alpha=args.alpha[0]),
-            dt=args.mc_dt,
-            t_final=args.mc_tfinal,
-            paths=args.mc_paths,
-            seed=args.seed,
-        )
     for alpha in args.alpha:
         model = ModelParams(lam=args.lam, alpha=alpha)
+        mc_cols = []
+        if args.mc_check:  # run first, so a bad Monte-Carlo setting fails before any solve
+            cfg = OracleConfig(model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
+            try:
+                mc = mc_c2(cfg, n_grid_theta=args.mc_grid, n_grid_kappa=args.mc_grid)
+                mc_cols = [mc.c2, mc.std_error]
+            except (RuntimeError, ArithmeticError) as exc:
+                print(f"alpha={alpha}: MC check failed ({exc}); emitting NaN", file=sys.stderr)
+                mc_cols = [math.nan, math.nan]
         row = [args.lam, alpha, c1_coefficient(model)]
         try:
             x, sp = _solve(args.lam, alpha, args.m, args.n)
@@ -202,18 +209,7 @@ def cmd_coeffs(args) -> int:
         except (RuntimeError, ArithmeticError) as exc:
             print(f"alpha={alpha}: degenerate point ({exc}); emitting NaN", file=sys.stderr)
             row += [math.nan, math.nan, math.nan, model.pressure]
-        if args.mc_check:
-            try:
-                mc = mc_c2(
-                    dataclasses.replace(mc_cfg, model=model),
-                    n_grid_theta=args.mc_grid,
-                    n_grid_kappa=args.mc_grid,
-                )
-                row += [mc.c2, mc.std_error]
-            except (RuntimeError, ArithmeticError) as exc:
-                print(f"alpha={alpha}: MC check failed ({exc}); emitting NaN", file=sys.stderr)
-                row += [math.nan, math.nan]
-        rows.append(row)
+        rows.append(row + mc_cols)
     header = "lambda,alpha,c1,c2,gamma1,gamma2,d"
     if args.mc_check:
         header += ",mc_c2,mc_stderr"
@@ -242,28 +238,26 @@ def cmd_simulate(args) -> int:
     if missing:
         print(f"config missing fields: {sorted(missing)}", file=sys.stderr)
         return EXIT_USAGE
+    include_self = raw.get("include_self", True)
     try:
+        if not isinstance(include_self, bool):
+            raise ValueError(f"include_self must be true or false, got {include_self!r}")
         cfg = SimConfig(
-            n_agents=int(raw["n_agents"]),
+            n_agents=_integer(raw, "n_agents"),
             box_size=float(raw["box"]),
             radius=float(raw["radius"]),
             model=ModelParams(lam=float(raw["lambda"]), alpha=float(raw["alpha"])),
             dt=float(raw["dt"]),
-            seed=int(raw["seed"]),
-            include_self=bool(raw.get("include_self", True)),
+            seed=_integer(raw, "seed"),
+            include_self=include_self,
         )
-        t_final = float(raw["t_final"])
-        stride = int(raw.get("stride", 100))
-        # json reads Infinity; the dt bound of SimConfig already rejects an infinite dt or lambda
-        finite = all(map(math.isfinite, (cfg.box_size, cfg.radius, cfg.model.alpha, t_final)))
-        if not (finite and round(t_final / cfg.dt) >= 1 and stride >= 1):  # run_simulation's step count
-            raise ValueError("box, radius, alpha, t_final must be finite, t_final > dt/2, stride >= 1")
+        snapshots = run_simulation(cfg, float(raw["t_final"]), _integer(raw, "stride", 100))
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     stats_rows, traj_rows = [], []
-    for t, agents in run_simulation(cfg, t_final, every=stride):
+    for t, agents in snapshots:
         stats = collect_stats(agents)
         stats_rows.append([t, stats.order_parameter, stats.mean_direction, stats.curvature_variance])
         if args.traj:

@@ -53,8 +53,8 @@ class ModelParams:
     alpha: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.alpha > 0):
-            raise ValueError(f"lam and alpha must be positive, got {self.lam}, {self.alpha}")
+        if not (0 < self.lam < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError(f"lam and alpha must be positive and finite, got {self.lam}, {self.alpha}")
 
     @property
     def concentration(self) -> float:

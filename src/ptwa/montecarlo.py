@@ -54,8 +54,8 @@ class OracleConfig:
         lam = self.model.lam
         if not self.dt > 0 or self.dt > 0.01 * min(1.0, 1.0 / lam):
             raise ValueError(f"dt must satisfy 0 < dt <= 0.01*min(1, 1/lam), got {self.dt}")
-        if self.t_final < 10.0 / lam:
-            raise ValueError(f"t_final must be >= 10/lam for mixing, got {self.t_final}")
+        if not 10.0 / lam <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and >= 10/lam for mixing, got {self.t_final}")
         if self.paths < 2:
             raise ValueError("need at least 2 paths (one antithetic pair)")
 

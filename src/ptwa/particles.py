@@ -72,8 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if not (self.box_size > 0 and self.radius > 0):
-            raise ValueError("box_size and radius must be positive")
+        if not (0 < self.box_size < math.inf and 0 < self.radius < math.inf):
+            raise ValueError("box_size and radius must be positive and finite")
         if not 0 < self.dt <= 0.1 / max(1.0, self.model.lam):
             raise ValueError(f"dt must satisfy 0 < dt <= 0.1/max(1, lam), got {self.dt}")
 
@@ -218,9 +218,16 @@ def run_simulation(cfg: SimConfig, t_final: float, every: int = 100):
     """Run from the seeded initial condition to t_final, yielding snapshots.
 
     Yields (t, Agents) after every `every`-th step and after the last step,
-    with t = (step_index + 1) * dt.
+    with t = (step_index + 1) * dt.  Raises ValueError at the call unless
+    t_final is finite and rounds to at least one step and every >= 1.
     """
-    n_steps = int(round(t_final / cfg.dt))
+    n_steps = t_final / cfg.dt
+    if not (math.isfinite(n_steps) and round(n_steps) >= 1 and every >= 1):
+        raise ValueError(f"need a finite t_final > dt/2 and every >= 1, got {t_final}, {every}")
+    return _snapshots(cfg, round(n_steps), every)
+
+
+def _snapshots(cfg: SimConfig, n_steps: int, every: int):
     agents = initial_state(cfg)
     for s in range(n_steps):
         agents = step(agents, cfg, step_index=s)

@@ -275,8 +275,14 @@ class TestCoeffs:
         assert code == 1
 
     @pytest.mark.parametrize("grid", ["1", "2", "4"])
-    def test_mc_grid_without_sin_cos_nodes_is_a_config_error(self, grid, tmp_path, capsys):
+    def test_mc_grid_without_sin_cos_nodes_is_a_config_error(
+        self, grid, tmp_path, capsys, monkeypatch
+    ):
         # every theta node is a multiple of pi/2, so the Monte-Carlo c2 would be round-off
+        def no_solve(sp):
+            raise AssertionError("solved before the Monte-Carlo setting was checked")
+
+        monkeypatch.setattr("ptwa.cli.solve_gci", no_solve)
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--alpha-range", "1", "-m", "6", "-n", "13", "--mc-check",
                      "--mc-paths", "100", "--mc-tfinal", "10", "--mc-grid", grid, "--out", str(out)])
@@ -345,6 +351,35 @@ class TestSimulate:
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
             assert "bad config" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_agents", 2.7), ("seed", 1.9), ("stride", 2.5), ("n_agents", True), ("seed", False),
+         ("stride", True), ("include_self", "false"), ("include_self", 1)],
+    )
+    def test_config_is_what_runs(self, field, value, tmp_path, capsys):
+        # int() and bool() would run 2 agents, seed 1, stride 2 or include_self=True instead
+        out = tmp_path / "stats.csv"
+        cfg = self.write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_local_radius_run(self, tmp_path):
+        # radius 1 in a box of 6 takes the cell-list neighbour search, not global coupling
+        box = 6.0
+        cfg = self.write_config(tmp_path, n_agents=60, box=box, radius=1.0, t_final=1.0, stride=5)
+        files = []
+        for run in ("a", "b"):
+            out, traj = tmp_path / f"{run}_stats.csv", tmp_path / f"{run}_traj.csv"
+            argv = ["simulate", "--config", str(cfg), "--out", str(out), "--traj", str(traj)]
+            assert main(argv) == 0
+            files.append((out.read_bytes(), traj.read_bytes()))
+        assert files[0] == files[1]
+        rows = read_lines(tmp_path / "a_traj.csv")[2:]
+        assert len(rows) == 4 * 60  # 20 steps / stride 5 snapshots x 60 agents
+        x = np.array([[float(v) for v in row.split(",")[2:4]] for row in rows])
+        assert np.all((x >= 0.0) & (x < box))
 
 
 class TestDeterminism:

@@ -27,6 +27,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(lam=1.0, alpha=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        # c1_coefficient(ModelParams(inf, 1.0)) would be NaN
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(lam=bad, alpha=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(lam=1.0, alpha=bad)
+
     def test_derived_quantities(self):
         p = ModelParams(lam=2.0, alpha=0.5)
         assert p.concentration == pytest.approx(16.0)

@@ -67,6 +67,11 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(model=UNIT, dt=5e-3, t_final=5.0, paths=100, seed=0)
 
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, t_final):
+        with pytest.raises(ValueError, match="finite"):
+            OracleConfig(model=UNIT, dt=5e-3, t_final=t_final, paths=100, seed=0)
+
     def test_rejects_single_path(self):
         with pytest.raises(ValueError):
             OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=1, seed=0)

@@ -140,6 +140,10 @@ class TestSimConfig:
             config(dt=0.5)
         with pytest.raises(ValueError):
             config(radius=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            config(box_size=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            config(radius=math.inf)
 
     def test_global_coupling_threshold(self):
         assert config(radius=10.0 * math.sqrt(2) / 2).global_coupling
@@ -366,6 +370,17 @@ class TestRunSimulation:
             agents = step(agents, cfg, step_index=s)
         assert np.array_equal(snapshots[-1][1].theta, agents.theta)
         assert snapshots[-1][0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("t_final, every", [(1.0, 0), (1.0, -3), (0.01, 5), (math.inf, 5)])
+    def test_bad_run_raises_at_the_call(self, t_final, every, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the arguments were checked")
+
+        monkeypatch.setattr(particles, "initial_state", fail)
+        monkeypatch.setattr(particles, "step", fail)
+        cfg = config(n_agents=5)  # dt = 0.05, so t_final = 0.01 rounds to 0 steps
+        with pytest.raises(ValueError, match="every"):
+            run_simulation(cfg, t_final=t_final, every=every)
 
     def test_short_equilibration_smoke(self):
         # global coupling drives curvature variance toward alpha^2/lambda
