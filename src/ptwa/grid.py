@@ -107,10 +107,11 @@ def apply_L(psi: GridField, params: ModelParams) -> GridField:
     g = psi.grid
     th, ka = g.meshgrid()
     v = psi.values
+    dv_dkappa = _d_kappa(v, g.d_kappa)
     out = (
         ka * _d_theta(v, g.d_theta)
-        - params.lam * np.sin(th) * _d_kappa(v, g.d_kappa)
-        - params.lam * ka * _d_kappa(v, g.d_kappa)
+        - params.lam * np.sin(th) * dv_dkappa
+        - params.lam * ka * dv_dkappa
         + params.alpha**2 * _d2_kappa(v, g.d_kappa)
     )
     return GridField(g, out)

@@ -58,6 +58,8 @@ class OracleConfig:
             raise ValueError(f"t_final must be finite and >= 10/lam for mixing, got {self.t_final}")
         if self.paths < 2:
             raise ValueError("need at least 2 paths (one antithetic pair)")
+        if not 0 <= self.seed < 2**64:  # the Philox key is unsigned 64-bit
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
     @property
     def n_steps(self) -> int:

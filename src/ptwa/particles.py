@@ -76,6 +76,8 @@ class SimConfig:
             raise ValueError("box_size and radius must be positive and finite")
         if not 0 < self.dt <= 0.1 / max(1.0, self.model.lam):
             raise ValueError(f"dt must satisfy 0 < dt <= 0.1/max(1, lam), got {self.dt}")
+        if not 0 <= self.seed < 2**64:  # the Philox key is unsigned 64-bit
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
     @property
     def global_coupling(self) -> bool:
@@ -110,36 +112,49 @@ def _neighbour_flux(x: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, radius:
     own cell or one of the eight around it despite round-off in the cell index
     and the distance.  Below three cells per side some of the nine offsets
     coincide and are searched once; one cell per side is the all-pairs search.
-    The candidate pairs (i, j) of each distinct offset are listed with
-    np.repeat, kept when their minimum-image distance is below the radius, and
-    summed per i with bincount, for blocks of agents with about PAIR_BLOCK
-    candidates at a time.
+    The agents are sorted by cell, stably, and each occupied cell looks up the
+    range of sorted positions of each of its neighbour cells once.  An agent's
+    candidates are its cell's ranges in sorted offset order, so by offset and
+    then by agent index; they are listed with np.repeat, kept when their
+    minimum-image distance is below the radius, and summed per agent in that
+    order with bincount, for blocks of agents with about PAIR_BLOCK candidates
+    at a time.  Memory is O(N + PAIR_BLOCK) at any radius.
     """
     n = len(x)
     n_cells = max(1, int(box / (radius + CELL_SLACK * box)))
     cell = np.floor(x / box * n_cells).astype(np.int64) % n_cells
     key = cell[:, 0] * n_cells + cell[:, 1]
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    key = key[order]
+    # positions and headings in sorted order, as contiguous vectors
+    px, py, pc, ps = x[order, 0], x[order, 1], cos_t[order], sin_t[order]
+    # occupied cells: first sorted position, agent count, and each agent's cell rank
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    size = np.diff(first, append=n)
+    rank = np.repeat(np.arange(len(first)), size)
+    occupied = key[first]
     shift = np.array(sorted({(a % n_cells, b % n_cells) for a in (-1, 0, 1) for b in (-1, 0, 1)}))
-    # one row per agent, one column per cell offset
-    other = (cell[:, :1] + shift[:, 0]) % n_cells * n_cells + (cell[:, 1:] + shift[:, 1]) % n_cells
-    lo = np.searchsorted(sorted_key, other, "left")
-    count = np.searchsorted(sorted_key, other, "right") - lo
-    per_agent = count.sum(axis=1)
+    # one row per occupied cell, one column per cell offset
+    cx, cy = occupied[:, None] // n_cells, occupied[:, None] % n_cells
+    other = (cx + shift[:, 0]) % n_cells * n_cells + (cy + shift[:, 1]) % n_cells
+    found = np.minimum(np.searchsorted(occupied, other), len(first) - 1)
+    lo = first[found]
+    count = np.where(occupied[found] == other, size[found], 0)
+    per_agent = count.sum(axis=1)[rank]
     block = (np.cumsum(per_agent) - per_agent) // PAIR_BLOCK
     edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [n]])
-    jx, jy = np.zeros(n), np.zeros(n)
+    jx, jy = np.empty(n), np.empty(n)
     for a, b in zip(edges[:-1], edges[1:]):
-        c = count[a:b].ravel()
-        i = np.repeat(np.arange(a, b), per_agent[a:b])
-        j = order[np.arange(len(i)) + np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c)]
-        dx = _min_image(x[j, 0] - x[i, 0], box)
-        dy = _min_image(x[j, 1] - x[i, 1], box)
-        within = dx * dx + dy * dy < radius**2
-        i, j = i[within], j[within]
-        jx += np.bincount(i, cos_t[j], n)
-        jy += np.bincount(i, sin_t[j], n)
+        c = count[rank[a:b]].ravel()
+        j = np.arange(c.sum()) + np.repeat(lo[rank[a:b]].ravel() - (np.cumsum(c) - c), c)
+        reps = per_agent[a:b]
+        dx = _min_image(px[j] - np.repeat(px[a:b], reps), box)
+        dy = _min_image(py[j] - np.repeat(py[a:b], reps), box)
+        keep = np.flatnonzero(dx * dx + dy * dy < radius**2)
+        del dx, dy  # two fewer pair-sized arrays alive while the next block is listed
+        i, j = np.repeat(np.arange(b - a), reps)[keep], j[keep]
+        jx[order[a:b]] = np.bincount(i, pc[j], b - a)
+        jy[order[a:b]] = np.bincount(i, ps[j], b - a)
     return jx, jy
 
 

@@ -290,6 +290,23 @@ class TestCoeffs:
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-2", str(2**64)])
+    def test_seed_outside_the_philox_key_is_a_config_error(
+        self, seed, tmp_path, capsys, monkeypatch
+    ):
+        # a seed the Philox key cannot hold would otherwise give NaN Monte-Carlo columns
+        def no_solve(sp):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr("ptwa.cli.solve_gci", no_solve)
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--alpha-range", "1", "-m", "4", "-n", "9", "--mc-check",
+                     "--mc-paths", "4", "--mc-tfinal", "10", "--mc-grid", "3", "--seed", seed,
+                     "--out", str(out)])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def write_config(self, tmp_path, **overrides):
@@ -355,7 +372,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "field, value",
         [("n_agents", 2.7), ("seed", 1.9), ("stride", 2.5), ("n_agents", True), ("seed", False),
-         ("stride", True), ("include_self", "false"), ("include_self", 1)],
+         ("stride", True), ("include_self", "false"), ("include_self", 1), ("seed", -1),
+         ("seed", 2**64)],
     )
     def test_config_is_what_runs(self, field, value, tmp_path, capsys):
         # int() and bool() would run 2 agents, seed 1, stride 2 or include_self=True instead

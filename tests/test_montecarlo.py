@@ -76,6 +76,11 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_the_philox_key(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=100, seed=seed)
+
     def test_n_steps(self):
         assert quick_cfg(dt=5e-3, t_final=20.0).n_steps == 4000
 

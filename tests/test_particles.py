@@ -1,6 +1,7 @@
 """Interacting-particle scheme: neighborhoods, stepping, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,29 @@ def pair_pass_adjacency(x, radius, box):
     """The same matrix read off the pair pass: column k sums the indicator of agent k."""
     zeros = np.zeros(len(x))
     return np.column_stack([_neighbour_flux(x, e, zeros, radius, box)[0] for e in np.eye(len(x))])
+
+
+def loop_flux(x, cos_t, sin_t, radius, box):
+    """Per-agent sums of cos_t[j] and sin_t[j], added one at a time in the pair pass's order.
+
+    For each agent: the cell offsets in sorted (a mod n, b mod n) order, then
+    the agents of that cell by index, each added if within radius.
+    """
+    n_cells = cells_per_side(box, radius)
+    cell = np.floor(x / box * n_cells).astype(np.int64) % n_cells
+    offsets = sorted({(a % n_cells, b % n_cells) for a in (-1, 0, 1) for b in (-1, 0, 1)})
+    jx, jy = np.zeros(len(x)), np.zeros(len(x))
+    for i in range(len(x)):
+        sx = sy = 0.0
+        for a, b in offsets:
+            target = (cell[i] + (a, b)) % n_cells
+            for j in np.flatnonzero(np.all(cell == target, axis=1)):
+                d = _min_image(x[j] - x[i], box)
+                if d[0] * d[0] + d[1] * d[1] < radius**2:
+                    sx += cos_t[j]
+                    sy += sin_t[j]
+        jx[i], jy[i] = sx, sy
+    return jx, jy
 
 
 def loop_kappa_bar(agents, cfg):
@@ -144,6 +168,10 @@ class TestSimConfig:
             config(box_size=math.inf)
         with pytest.raises(ValueError, match="finite"):
             config(radius=math.inf)
+        for seed in (-1, 2**64):  # the Philox key is unsigned 64-bit
+            with pytest.raises(ValueError, match="seed"):
+                config(seed=seed)
+        assert config(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_global_coupling_threshold(self):
         assert config(radius=10.0 * math.sqrt(2) / 2).global_coupling
@@ -214,6 +242,37 @@ class TestNeighborSearch:
                     pair_pass_adjacency(x[:60], radius, 10.0), brute_adjacency(x[:60], radius, 10.0)
                 )
             assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
+
+    def test_summation_order_is_the_stated_one(self, monkeypatch):
+        # summands spread over 16 decades, so adding them in another order changes the bits
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 10.0, size=(150, 2))
+        cos_t, sin_t = rng.standard_normal((2, 150)) * 10.0 ** rng.integers(-8, 8, (2, 150))
+        n_cells = set()
+        for radius in (6.0, 4.0, 3.0, 2.4, 1.05):
+            n_cells.add(cells_per_side(10.0, radius))
+            ref = loop_flux(x, cos_t, sin_t, radius, 10.0)
+            for block in (particles.PAIR_BLOCK, 7):
+                with monkeypatch.context() as m:
+                    m.setattr(particles, "PAIR_BLOCK", block)
+                    jx, jy = _neighbour_flux(x, cos_t, sin_t, radius, 10.0)
+                assert np.array_equal(jx, ref[0]) and np.array_equal(jy, ref[1]), (radius, block)
+        assert n_cells == {1, 2, 3, 4, 9}
+
+    def test_tiny_radius_needs_memory_linear_in_agents(self):
+        # about 1e7 cells per side: a table over all n_cells**2 cells would need 8e14 B
+        box, radius = 10.0, 1e-6
+        x = np.random.default_rng(12).uniform(0.0, box, size=(200, 2))
+        x[1] = x[0] + [5e-7, 0.0]
+        x[2:4] = [[box - 3e-7, 5.0], [2e-7, 5.0]]  # a pair across the periodic face
+        assert np.array_equal(pair_pass_adjacency(x, radius, box), brute_adjacency(x, radius, box))
+        tracemalloc.start()
+        try:
+            _neighbour_flux(x, np.ones(200), np.zeros(200), radius, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 < cells_per_side(box, radius) ** 2 * 8
 
     @given(swarms())
     @settings(max_examples=150, deadline=None)
