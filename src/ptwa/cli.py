@@ -13,7 +13,7 @@ Subcommands expose each pipeline stage with reproducible configuration:
 
 Every subcommand is deterministic given its flags and seed, and every CSV
 starts with a ``#`` comment line recording the full configuration.  Exit
-codes: 0 success, 1 usage/config error, 2 numerical failure.  Set
+codes: 0 success, 1 usage, config or file error, 2 numerical failure.  Set
 ``PTWA_NUM_THREADS`` to cap the BLAS thread pool (``ptwa/__init__.py`` applies
 it before the numerical libraries start their threads).
 """
@@ -233,6 +233,9 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(raw, dict):
+        print(f"bad config: {args.config} must hold a JSON object", file=sys.stderr)
+        return EXIT_USAGE
     required = {"n_agents", "box", "radius", "lambda", "alpha", "dt", "t_final", "seed"}
     missing = required - raw.keys()
     if missing:
@@ -347,6 +350,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -6,7 +6,8 @@ and a centered Gaussian in the curvature (variance alpha^2/lambda).  The drift
 coefficient of the macroscopic density equation is the Bessel ratio
 c1 = I1(lambda^2/alpha^2) / I0(lambda^2/alpha^2).  Both are evaluated through the
 exponentially scaled ive(n, k) = exp(-k) I_n(k), so the exponentials cancel and
-nothing overflows at large concentration.
+nothing overflows at large concentration.  The module also owns the seeded
+Philox stream that both stochastic simulators draw their noise from.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import i0e, i1e, ive
 
 __all__ = [
     "ModelParams",
@@ -26,6 +27,7 @@ __all__ = [
     "wrap_angle",
     "theta_nodes",
     "kappa_cutoff",
+    "seeded_stream",
 ]
 
 #: default number of nodes for periodic-trapezoid quadrature in theta
@@ -72,10 +74,16 @@ class ModelParams:
         return self.alpha**2 / self.lam**2
 
 
+def _ive(order: int, k: float) -> float:
+    """scipy's ive(order, k) for order 0 or 1; ive is NaN once k rounds to 2**30, i0e and i1e are not."""
+    value = ive(order, k)
+    return (i0e, i1e)[order](k) if math.isnan(value) else value
+
+
 def von_mises_pdf(params: ModelParams, theta):
     """Von Mises density M(theta) = exp(k cos theta) / (2 pi I0(k)), k = lam^2/alpha^2, in scaled form."""
     k = params.concentration
-    return np.exp(k * (np.cos(theta) - 1.0)) / (2.0 * math.pi * ive(0, k))
+    return np.exp(k * (np.cos(theta) - 1.0)) / (2.0 * math.pi * _ive(0, k))
 
 
 def gaussian_pdf(params: ModelParams, kappa):
@@ -87,7 +95,7 @@ def gaussian_pdf(params: ModelParams, kappa):
 def c1_coefficient(params: ModelParams) -> float:
     """Density drift speed c1 = I1(lam^2/alpha^2) / I0(lam^2/alpha^2)."""
     k = params.concentration
-    return float(ive(1, k) / ive(0, k))
+    return float(_ive(1, k) / _ive(0, k))
 
 
 def c1_quadrature(params: ModelParams, n_nodes: int = THETA_QUAD_NODES) -> float:
@@ -110,3 +118,13 @@ def kappa_cutoff(params: ModelParams) -> float:
     amplified by the top Hermite degrees), so grid.residual_inf ignores it.
     """
     return KAPPA_CUTOFF_SIGMAS * params.alpha / math.sqrt(params.lam)
+
+
+def seeded_stream(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based Philox stream keyed by (seed, stream); reproducible under any scheduling.
+
+    Raises ValueError unless both key words lie in [0, 2**64).
+    """
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"Philox key words must lie in [0, 2**64), got seed={seed}, stream={stream}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

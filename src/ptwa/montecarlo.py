@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, theta_nodes, von_mises_pdf
+from .equilibrium import ModelParams, seeded_stream, theta_nodes, von_mises_pdf
 
 __all__ = ["OracleConfig", "feynman_kac_psi", "mc_c2", "MCC2Result"]
 
@@ -58,17 +58,11 @@ class OracleConfig:
             raise ValueError(f"t_final must be finite and >= 10/lam for mixing, got {self.t_final}")
         if self.paths < 2:
             raise ValueError("need at least 2 paths (one antithetic pair)")
-        if not 0 <= self.seed < 2**64:  # the Philox key is unsigned 64-bit
-            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+        seeded_stream(self.seed, 0)  # rejects a seed the Philox key cannot hold
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-def _path_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, stream index); reproducible under any scheduling."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _integrate_sin(cfg: OracleConfig, theta0: float, kappa0: float, rngs) -> tuple:
@@ -135,7 +129,7 @@ def feynman_kac_psi(cfg: OracleConfig, theta0: float, kappa0: float, stream_offs
     tails = np.empty(n_pairs)  # one pair-averaged tail per antithetic pair
     for done in range(0, n_pairs, CHUNK_PAIRS):
         chunk = min(CHUNK_PAIRS, n_pairs - done)
-        rngs = [_path_rng(cfg.seed, stream_offset + done + p) for p in range(chunk)]
+        rngs = [seeded_stream(cfg.seed, stream_offset + done + p) for p in range(chunk)]
         integral, tail = _integrate_sin(cfg, theta0, kappa0, rngs)
         values[done : done + chunk] = 0.5 * (integral[:chunk] + integral[chunk:])
         tails[done : done + chunk] = 0.5 * (tail[:chunk] + tail[chunk:])
@@ -172,10 +166,11 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     psi is estimated on a product grid: uniform periodic nodes in theta
     (trapezoid against the Von Mises weight) times Gauss-Hermite nodes in kappa
     (exact against the Gaussian weight); each grid point uses its own
-    decorrelated path streams, with cfg.paths paths per point, and the theta = 0
-    row, where sin(theta) = 0, is not simulated.  Raises ValueError, before any
-    path runs, if n_grid_theta divides 4: every node is then a multiple of pi/2,
-    where sin(theta) cos(theta) vanishes, so gamma2 and c2 would be round-off.
+    decorrelated path streams, with cfg.paths paths per point, and the rows where
+    theta is a multiple of pi, so sin(theta) = 0, are not simulated.  Raises
+    ValueError, before any path runs, if n_grid_theta divides 4: every node is
+    then a multiple of pi/2, where sin(theta) cos(theta) vanishes, so gamma2 and
+    c2 would be round-off.
     """
     if 4 % n_grid_theta == 0:
         raise ValueError(f"n_grid_theta={n_grid_theta} puts every theta node where sin cos = 0")
@@ -189,7 +184,7 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     g1 = g2 = 0.0
     a, b, se_psi = [], [], []  # per point: the weights of psi in g1 and g2, and psi's error
     for i in range(n_grid_theta):
-        if math.sin(th[i]) == 0.0:  # the node theta = 0 weighs psi by 0 in both sums
+        if 2 * i % n_grid_theta == 0:  # theta_i is a multiple of pi: psi weighs 0 in both sums
             continue
         for j in range(n_grid_kappa):
             point = i * n_grid_kappa + j

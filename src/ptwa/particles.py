@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, wrap_angle
+from .equilibrium import ModelParams, seeded_stream, wrap_angle
 
 __all__ = [
     "Agents",
@@ -76,8 +76,7 @@ class SimConfig:
             raise ValueError("box_size and radius must be positive and finite")
         if not 0 < self.dt <= 0.1 / max(1.0, self.model.lam):
             raise ValueError(f"dt must satisfy 0 < dt <= 0.1/max(1, lam), got {self.dt}")
-        if not 0 <= self.seed < 2**64:  # the Philox key is unsigned 64-bit
-            raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
+        seeded_stream(self.seed, 0)  # rejects a seed the Philox key cannot hold
 
     @property
     def global_coupling(self) -> bool:
@@ -94,10 +93,6 @@ class SimStats:
     curvature_variance: float
     relative_angle_histogram: np.ndarray
     relative_angle_edges: np.ndarray
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _min_image(dx: np.ndarray, box: float) -> np.ndarray:
@@ -194,7 +189,7 @@ def step(agents: Agents, cfg: SimConfig, step_index: int = 0) -> Agents:
     """
     lam, alpha = cfg.model.lam, cfg.model.alpha
     kb = _kappa_bar_all(agents, cfg)
-    xi = _rng(cfg.seed, step_index).standard_normal(len(agents))
+    xi = seeded_stream(cfg.seed, step_index).standard_normal(len(agents))
     kappa = agents.kappa + lam * (kb - agents.kappa) * cfg.dt + math.sqrt(2.0 * cfg.dt) * alpha * xi
     theta = wrap_angle(agents.theta + kappa * cfg.dt)
     tau = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -221,7 +216,7 @@ def collect_stats(agents: Agents) -> SimStats:
 
 def initial_state(cfg: SimConfig) -> Agents:
     """Uniform positions and headings, stationary Gaussian curvatures, from a reserved stream."""
-    rng = _rng(cfg.seed, INIT_STREAM)
+    rng = seeded_stream(cfg.seed, INIT_STREAM)
     n = cfg.n_agents
     x = rng.uniform(0.0, cfg.box_size, size=(n, 2))
     theta = rng.uniform(-math.pi, math.pi, size=n)

@@ -58,6 +58,17 @@ class TestUsageErrors:
             assert main(argv) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [["gci"], ["residual", "--lambda", "1", "--alpha", "1"], ["coeffs", "--alpha-range", "1"]],
+    )
+    def test_unwritable_output_is_a_one_line_error(self, command, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        assert main([*command, "-m", "4", "-n", "9", "--out", str(missing / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and str(missing) in err
+        assert len(err.splitlines()) == 1
+
 
 def test_range_values_are_the_decimal_ones():
     # stepped in binary floating point this range held 0.6000000000000001
@@ -346,6 +357,22 @@ class TestSimulate:
         bad = tmp_path / "sim.json"
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"seed"', "null"])
+    def test_config_that_is_not_an_object(self, content, tmp_path, capsys):
+        bad = tmp_path / "sim.json"
+        bad.write_text(content)
+        assert main(["simulate", "--config", str(bad)]) == 1
+        assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--traj"])
+    def test_unwritable_output_is_a_one_line_error(self, flag, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        missing = tmp_path / "no" / "such"
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "stats.csv")]
+        assert main([*argv, flag, str(missing / "x.csv")]) == 1  # a repeated --out wins
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and str(missing) in err
 
     def test_missing_field(self, tmp_path):
         bad = tmp_path / "sim.json"

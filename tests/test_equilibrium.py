@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kinetic_oracle import mu_pdf
+from scipy.special import ive
 
 from ptwa.equilibrium import (
     ModelParams,
     c1_coefficient,
     c1_quadrature,
     gaussian_pdf,
+    seeded_stream,
     von_mises_pdf,
     wrap_angle,
 )
@@ -134,3 +136,32 @@ class TestLargeConcentration:
         th = np.linspace(-math.pi, math.pi, nodes + 1)[:-1]
         assert np.sum(von_mises_pdf(p, th)) * (2.0 * math.pi / nodes) == pytest.approx(1.0, abs=1e-10)
         assert c1_quadrature(p, nodes) == pytest.approx(c1_coefficient(p), abs=1e-10)
+
+    def test_c1_and_density_past_the_ive_range(self):
+        # scipy's ive is NaN from about k = 2**30 (lam/alpha = 32768) on; the asymptotic series
+        # I1/I0 = 1 - 1/(2k) - 1/(8k^2) and 2 pi e^-k I0 = sqrt(2 pi / k) (1 + 1/(8k)) hold there
+        for lam in (32768.0, 32769.0, 1e5):
+            p = ModelParams(lam=lam, alpha=1.0)
+            k = p.concentration
+            assert 1.0 - c1_coefficient(p) == pytest.approx(1.0 / (2.0 * k) + 1.0 / (8.0 * k**2), rel=1e-5)
+            peak = math.sqrt(k / (2.0 * math.pi)) / (1.0 + 1.0 / (8.0 * k))
+            assert von_mises_pdf(p, 0.0) == pytest.approx(peak, rel=1e-12)
+            assert von_mises_pdf(p, math.pi) == 0.0
+
+    def test_c1_is_the_ive_ratio_inside_its_range(self):
+        for k in (1.0, 729.0, 2.0**30 - 1.0):
+            p = ModelParams(lam=math.sqrt(k), alpha=1.0)
+            assert c1_coefficient(p) == ive(1, p.concentration) / ive(0, p.concentration)
+
+
+class TestSeededStream:
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (5, 2**62), (2**64 - 1, 2**64 - 1)])
+    def test_draws_from_the_unsigned_philox_key(self, seed, stream):
+        key = np.array([seed, stream], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+        assert np.array_equal(seeded_stream(seed, stream).standard_normal(4), expected)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rejects_key_words_outside_64_bits(self, seed, stream):
+        with pytest.raises(ValueError, match="Philox key"):
+            seeded_stream(seed, stream)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ptwa import montecarlo
-from ptwa.equilibrium import ModelParams
+from ptwa.equilibrium import ModelParams, seeded_stream
 from ptwa.hydro import compute_hydro_coeffs
-from ptwa.montecarlo import OracleConfig, _integrate_sin, _path_rng, feynman_kac_psi, mc_c2
+from ptwa.montecarlo import OracleConfig, _integrate_sin, feynman_kac_psi, mc_c2
 
 UNIT = ModelParams(1.0, 1.0)
 
@@ -47,7 +47,7 @@ def simulate_linear_sde(cfg: OracleConfig, theta0: float, kappa0: float, stream=
     """
     lam, alpha = cfg.model.lam, cfg.model.alpha
     n = cfg.n_steps
-    noise = sign * _path_rng(cfg.seed, stream).standard_normal(n) * math.sqrt(2.0 * cfg.dt) * alpha
+    noise = sign * seeded_stream(cfg.seed, stream).standard_normal(n) * math.sqrt(2.0 * cfg.dt) * alpha
     theta = np.empty(n + 1)
     kappa = np.empty(n + 1)
     theta[0], kappa[0] = theta0, kappa0
@@ -132,7 +132,7 @@ class TestFusedKernel:
         cfg = OracleConfig(model=ModelParams(2.0, 0.5), dt=5e-3, t_final=10.0, paths=8, seed=4)
         offset, pairs = 17, 4
         integral, tail = _integrate_sin(
-            cfg, 0.6, -1.1, [_path_rng(cfg.seed, offset + p) for p in range(pairs)]
+            cfg, 0.6, -1.1, [seeded_stream(cfg.seed, offset + p) for p in range(pairs)]
         )
         assert integral.shape == tail.shape == (2 * pairs,)
         for p in range(pairs):
@@ -161,6 +161,11 @@ class TestFeynmanKacPsi:
         a = feynman_kac_psi(quick_cfg(), 0.5, 1.0)
         b = feynman_kac_psi(quick_cfg(), 0.5, 1.0)
         assert a == b
+
+    @pytest.mark.parametrize("offset", [-1, 2**64, 2**64 - 1])  # the last reaches 2**64 at pair 1
+    def test_stream_outside_the_philox_key_raises(self, offset):
+        with pytest.raises(ValueError, match="Philox key"):
+            feynman_kac_psi(quick_cfg(paths=4, t_final=10.0), 1.0, 0.0, stream_offset=offset)
 
     def test_stream_offset_decorrelates(self):
         a = feynman_kac_psi(quick_cfg(paths=400), 0.5, 1.0)
@@ -213,6 +218,21 @@ class TestMcC2:
         assert a == b
         assert float.hex(a.c2) == "0x1.6b00ab92bd674p-3"  # recorded before the streamed kernel
         assert abs(a.gamma1) > 3.0 * a.gamma1_std_error
+
+    @pytest.mark.filterwarnings("ignore:horizon")  # a short horizon; only the calls matter
+    @pytest.mark.parametrize("n_grid_theta, n_grid_kappa, calls", [(8, 4, 24), (3, 3, 6)])
+    def test_no_path_where_sin_theta_is_zero(self, n_grid_theta, n_grid_kappa, calls, monkeypatch):
+        # theta = -pi and theta = 0 weigh psi by sin(theta) = 0 in both sums
+        thetas = []
+
+        def counting_psi(cfg, theta0, kappa0, stream_offset=0):
+            thetas.append(theta0)
+            return feynman_kac_psi(cfg, theta0, kappa0, stream_offset=stream_offset)
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", counting_psi)
+        mc_c2(quick_cfg(paths=4, t_final=10.0), n_grid_theta, n_grid_kappa)
+        assert len(thetas) == calls
+        assert min(abs(math.sin(t)) for t in thetas) > 0.5
 
     @pytest.mark.slow
     def test_close_to_spectral(self, medium_solution):

@@ -356,6 +356,12 @@ class TestStep:
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.kappa, b.kappa)
 
+    @pytest.mark.parametrize("step_index", [-1, 2**64])
+    def test_stream_outside_the_philox_key_raises(self, step_index):
+        cfg = config(n_agents=5)
+        with pytest.raises(ValueError, match="Philox key"):
+            step(initial_state(cfg), cfg, step_index=step_index)
+
     def test_global_coupling_matches_local_path(self):
         # with radius covering the box, the closed-form global branch must equal
         # the per-agent loop, and the pair pass must find every pair
