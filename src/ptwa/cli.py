@@ -21,8 +21,10 @@ it before the numerical libraries start their threads).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 
@@ -100,16 +102,45 @@ def _residual_grid(delta: float) -> Grid2D:
     return Grid2D(n_theta=n_theta, kappa_min=-5.0, kappa_max=5.0, n_kappa=n_kappa)
 
 
-def _write_csv(path: str, header: str, rows, *configs: dict) -> None:
-    """CSV with a '# config: key=value,...' line, a header row, and repr-exact floats.
+@contextlib.contextmanager
+def _open_outputs(*paths: str):
+    """Open every output before any solve or step, so an unwritable path fails at once.
+
+    A file is emptied only when _write_csv writes it.  If the run fails, the files opened
+    here that did not exist before are removed and the others keep their old content.  Two
+    handles on one file would overwrite each other's rows, so the paths must differ.
+    """
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError("every output must be a different file")
+    handles, created = [], []
+    try:
+        for path in paths:
+            if not os.path.exists(path):
+                created.append(path)
+            handles.append(open(path, "a", encoding="utf-8"))
+        yield handles
+    except BaseException:
+        for fh in handles:
+            fh.close()
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    finally:
+        for fh in handles:
+            fh.close()
+
+
+def _write_csv(fh, header: str, rows, *configs: dict) -> None:
+    """Write fh afresh as CSV: a '# config: key=value,...' line, a header row, repr-exact floats.
 
     The config line holds each dict's items sorted by key, the dicts in order.
     """
     items = ",".join(f"{k}={v}" for config in configs for k, v in sorted(config.items()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {items}\n{header}\n")
-        for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+    fh.truncate(0)
+    fh.write(f"# config: {items}\n{header}\n")
+    for row in rows:
+        fh.write(",".join(_format(v) for v in row) + "\n")
 
 
 def _format(value) -> str:
@@ -132,20 +163,20 @@ def _solve(lam: float, alpha: float, m: int, n: int) -> tuple[CoeffMatrix, Spect
 
 
 def cmd_gci(args) -> int:
-    x, sp = _solve(args.lam, args.alpha, args.m, args.n)
     grid = _residual_grid(args.delta)
-    # reconstruct before opening either file, so a numerical failure writes nothing
-    field = psi_on_grid(x, sp, grid)
-    config = {"lambda": args.lam, "alpha": args.alpha, "m": args.m, "n": args.n}
     coeff_path = f"{args.out}_coeffs.csv"
     psi_path = f"{args.out}_psi.csv"
-    coeff_rows = [[j - sp.m, k, c.real, c.imag] for (j, k), c in np.ndenumerate(x.entries)]
-    _write_csv(coeff_path, "j,k,re,im", coeff_rows, config)
-    th, ka = grid.meshgrid()
-    psi_rows = zip(th.ravel(), ka.ravel(), field.values.ravel())
-    # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
-    grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
-    _write_csv(psi_path, "theta,kappa,value", psi_rows, config, grid_config)
+    with _open_outputs(coeff_path, psi_path) as (coeff_fh, psi_fh):
+        x, sp = _solve(args.lam, args.alpha, args.m, args.n)
+        field = psi_on_grid(x, sp, grid)
+        config = {"lambda": args.lam, "alpha": args.alpha, "m": args.m, "n": args.n}
+        coeff_rows = [[j - sp.m, k, c.real, c.imag] for (j, k), c in np.ndenumerate(x.entries)]
+        _write_csv(coeff_fh, "j,k,re,im", coeff_rows, config)
+        th, ka = grid.meshgrid()
+        psi_rows = zip(th.ravel(), ka.ravel(), field.values.ravel())
+        # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
+        grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
+        _write_csv(psi_fh, "theta,kappa,value", psi_rows, config, grid_config)
     print(f"algebraic residual: {x.residual:.6e}")
     print(TAIL_LINE.format(*x.tail_norms()))
     print(f"wrote {coeff_path} and {psi_path}")
@@ -154,11 +185,6 @@ def cmd_gci(args) -> int:
 
 def cmd_residual(args) -> int:
     grid = _residual_grid(args.delta)
-    rows = []
-    for lam in args.lam:
-        for alpha in args.alpha:
-            x, sp = _solve(lam, alpha, args.m, args.n)
-            rows.append([lam, alpha, residual_inf(psi_on_grid(x, sp, grid), sp.model)])
     config = {
         "lambda": ",".join(str(v) for v in args.lam),
         "alpha": ",".join(str(v) for v in args.alpha),
@@ -166,7 +192,13 @@ def cmd_residual(args) -> int:
         "n": args.n,
         "delta": args.delta,
     }
-    _write_csv(args.out, "lambda,alpha,residual_inf", rows, config)
+    with _open_outputs(args.out) as (fh,):
+        rows = []
+        for lam in args.lam:
+            for alpha in args.alpha:
+                x, sp = _solve(lam, alpha, args.m, args.n)
+                rows.append([lam, alpha, residual_inf(psi_on_grid(x, sp, grid), sp.model)])
+        _write_csv(fh, "lambda,alpha,residual_inf", rows, config)
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.check:
         table = {(r[0], r[1]): r[2] for r in rows}
@@ -187,29 +219,31 @@ def cmd_residual(args) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(args) -> int:
-    rows = []
-    for alpha in args.alpha:
-        model = ModelParams(lam=args.lam, alpha=alpha)
-        mc_cols = []
-        if args.mc_check:  # run first, so a bad Monte-Carlo setting fails before any solve
-            cfg = OracleConfig(model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
-            try:
-                mc = mc_c2(cfg, n_grid_theta=args.mc_grid, n_grid_kappa=args.mc_grid)
-                mc_cols = [mc.c2, mc.std_error]
-            except (RuntimeError, ArithmeticError) as exc:
-                print(f"alpha={alpha}: MC check failed ({exc}); emitting NaN", file=sys.stderr)
-                mc_cols = [math.nan, math.nan]
-        row = [args.lam, alpha, c1_coefficient(model)]
+def _coeffs_row(args, alpha: float) -> list:
+    """One `coeffs` row; a failed Monte-Carlo check or solve gives NaN columns, noted on stderr."""
+    model = ModelParams(lam=args.lam, alpha=alpha)
+    mc_cols = []
+    if args.mc_check:  # run first, so a bad Monte-Carlo setting fails before any solve
+        cfg = OracleConfig(model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
         try:
-            x, sp = _solve(args.lam, alpha, args.m, args.n)
-            print(f"alpha={alpha}: " + TAIL_LINE.format(*x.tail_norms()))
-            h = compute_hydro_coeffs(x, sp)
-            row += [h.c2, h.gamma1, h.gamma2, h.d]
+            mc = mc_c2(cfg, n_grid_theta=args.mc_grid, n_grid_kappa=args.mc_grid)
+            mc_cols = [mc.c2, mc.std_error]
         except (RuntimeError, ArithmeticError) as exc:
-            print(f"alpha={alpha}: degenerate point ({exc}); emitting NaN", file=sys.stderr)
-            row += [math.nan, math.nan, math.nan, model.pressure]
-        rows.append(row + mc_cols)
+            print(f"alpha={alpha}: MC check failed ({exc}); emitting NaN", file=sys.stderr)
+            mc_cols = [math.nan, math.nan]
+    row = [args.lam, alpha, c1_coefficient(model)]
+    try:
+        x, sp = _solve(args.lam, alpha, args.m, args.n)
+        print(f"alpha={alpha}: " + TAIL_LINE.format(*x.tail_norms()))
+        h = compute_hydro_coeffs(x, sp)
+        row += [h.c2, h.gamma1, h.gamma2, h.d]
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"alpha={alpha}: degenerate point ({exc}); emitting NaN", file=sys.stderr)
+        row += [math.nan, math.nan, math.nan, model.pressure]
+    return row + mc_cols
+
+
+def cmd_coeffs(args) -> int:
     header = "lambda,alpha,c1,c2,gamma1,gamma2,d"
     if args.mc_check:
         header += ",mc_c2,mc_stderr"
@@ -221,7 +255,9 @@ def cmd_coeffs(args) -> int:
         "mc_check": args.mc_check,
         "seed": args.seed,
     }
-    _write_csv(args.out, header, rows, config)
+    with _open_outputs(args.out) as (fh,):
+        rows = [_coeffs_row(args, alpha) for alpha in args.alpha]
+        _write_csv(fh, header, rows, config)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -259,18 +295,23 @@ def cmd_simulate(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    stats_rows, traj_rows = [], []
-    for t, agents in snapshots:
-        stats = collect_stats(agents)
-        stats_rows.append([t, stats.order_parameter, stats.mean_direction, stats.curvature_variance])
+    with _open_outputs(args.out, *([args.traj] if args.traj else [])) as handles:
+        stats_rows, traj_rows = [], []
+        for t, agents in snapshots:
+            stats = collect_stats(agents)
+            stats_rows.append(
+                [t, stats.order_parameter, stats.mean_direction, stats.curvature_variance]
+            )
+            if args.traj:
+                x, theta, kappa = agents.x, agents.theta, agents.kappa
+                traj_rows += ([t, i, *x[i], theta[i], kappa[i]] for i in range(len(agents)))
+        config = dict(raw)
+        header = "t,order_parameter,mean_direction,curvature_variance"
+        _write_csv(handles[0], header, stats_rows, config)
         if args.traj:
-            x, theta, kappa = agents.x, agents.theta, agents.kappa
-            traj_rows += ([t, i, *x[i], theta[i], kappa[i]] for i in range(len(agents)))
-    config = dict(raw)
-    _write_csv(args.out, "t,order_parameter,mean_direction,curvature_variance", stats_rows, config)
+            _write_csv(handles[1], "t,agent_id,x1,x2,theta,kappa", traj_rows, config)
     print(f"wrote {args.out} ({len(stats_rows)} rows)")
     if args.traj:
-        _write_csv(args.traj, "t,agent_id,x1,x2,theta,kappa", traj_rows, config)
         print(f"wrote {args.traj} ({len(traj_rows)} rows)")
     c1 = c1_coefficient(cfg.model)  # stats holds the last snapshot, taken at the final step
     print(f"final order parameter: {stats.order_parameter:.6f} (equilibrium c1 = {c1:.6f})")

@@ -87,9 +87,9 @@ def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:
     )
 
 
-def _discriminant(h: HydroCoeffs, theta: float) -> float:
-    """The characteristic discriminant at wave angle theta, the same for both speeds."""
-    return (h.c1 - h.c2) ** 2 * math.cos(theta) ** 2 + 4.0 * h.c1 * h.d * math.sin(theta) ** 2
+def _discriminant(h: HydroCoeffs, theta):
+    """The characteristic discriminant at wave angle(s) theta, the same for both speeds."""
+    return (h.c1 - h.c2) ** 2 * np.cos(theta) ** 2 + 4.0 * h.c1 * h.d * np.sin(theta) ** 2
 
 
 def characteristic_speeds(h: HydroCoeffs, theta: float) -> tuple[float, float]:
@@ -110,4 +110,4 @@ def hyperbolicity_check(h: HydroCoeffs, theta_samples: int) -> bool:
     """True iff the characteristic discriminant is >= 0 at all sampled wave angles."""
     if theta_samples < 8:
         raise ValueError(f"theta_samples must be >= 8, got {theta_samples}")
-    return all(_discriminant(h, th) >= 0.0 for th in theta_nodes(theta_samples))
+    return bool(np.all(_discriminant(h, theta_nodes(theta_samples)) >= 0.0))

@@ -10,14 +10,18 @@ type matrix equation
 
 in which each coefficient couples only to itself, (j, k+-1) and (j+-1, k+-1).
 The solution is real and odd under (theta, kappa) -> (-theta, -kappa), which
-fixes every coefficient by one real number r_j^k with j >= 0.  That real system
-is solved by one banded LU (LAPACK gbtrf), bandwidth m+2, on the half grid
-j >= 0, refined from the full residual where pivot growth spoils it; no matrix
-of the full complex system is ever formed.
+fixes every coefficient by one real number r_j^k with j >= 0.  In that real
+system the odd Hermite degrees couple only to the even ones, and to themselves
+through the diagonal -lam k, so they are eliminated exactly: one banded LU
+(LAPACK gbtrf, kl = ku = m+2) solves the Schur complement on the even degrees,
+m ceil((n+1)/2) unknowns, the odd degrees follow by back-substitution, and the
+same LU refines the result from the full residual where the small odd pivots
+spoil it.  No matrix of the full complex system is ever formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import ive
 
-from .equilibrium import ModelParams, von_mises_pdf
+from .equilibrium import ModelParams, _ive, von_mises_pdf
 from .grid import Grid2D, GridField
 from .special import hermite_p_row
 
@@ -34,7 +38,7 @@ __all__ = [
     "CoeffMatrix",
     "assemble_rhs",
     "apply_operator",
-    "assemble_band",
+    "assemble_schur_band",
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
@@ -109,9 +113,10 @@ def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
 
     Each is I_{j+q}(k/2) / sqrt(I0(k)), k = lam^2/alpha^2, in the scaled form ive(n, x) =
     exp(-x) I_n(x) so the exponentials cancel; every theta moment against M combines them.
+    Past k = 2^31 ive(n, k/2) is NaN, and solve_gci names the non-finite right-hand side.
     """
     k = sp.model.concentration
-    return ive(sp.fourier_orders() + q, k / 2.0) / math.sqrt(ive(0, k))
+    return ive(sp.fourier_orders() + q, k / 2.0) / math.sqrt(_ive(0, k))
 
 
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
@@ -133,70 +138,142 @@ def apply_operator(entries: np.ndarray, sp: SpectralParams) -> np.ndarray:
     """
     lam, alpha = sp.model.lam, sp.model.alpha
     k = np.arange(sp.n_hermite)
-    x = np.pad(entries, ((0, 0), (1, 1)))
+    x = np.zeros((sp.n_fourier, sp.n_hermite + 2), dtype=complex)  # zero columns k = -1, n+1
+    x[:, 1:-1] = entries
     xu, xut = x[:, :-2] * np.sqrt(k), x[:, 2:] * np.sqrt(k + 1)
-    n2 = np.pad(xut - xu, ((1, 1), (0, 0)))
+    n2 = np.zeros((sp.n_fourier + 2, sp.n_hermite), dtype=complex)  # zero rows j = -m-1, m+1
+    n2[1:-1] = xut - xu
     beta1, beta2 = 1j * alpha / math.sqrt(lam), 1j * lam * math.sqrt(lam) / (4.0 * alpha)
     m1n1 = sp.fourier_orders()[:, None] * (xu + xut)
     return beta1 * m1n1 + beta2 * (n2[:-2] - n2[2:]) - lam * k * entries
 
 
-def assemble_band(sp: SpectralParams) -> np.ndarray:
-    """The real system for r_j^k, j >= 0, in gbtrf band storage: kl = ku = m+2, unknown j + (m+1)k.
+@functools.lru_cache(maxsize=16)
+def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model-free factors (W, P) of assemble_schur_band, whose band is (W @ c) @ P.
 
-    With a1 = alpha/sqrt(lam), a2 = lam sqrt(lam)/(4 alpha) and s = (-1)^k, row (j, k) is
-    s [a1 j (sqrt(k) r_j^{k-1} + sqrt(k+1) r_j^{k+1}) + a2 (sqrt(k+1) (r_{j-1}^{k+1} -
-    r_{j+1}^{k+1}) - sqrt(k) (r_{j-1}^{k-1} - r_{j+1}^{k-1}))] - lam k r_j^k, with the mirror
-    r_{-1}^k = -r_1^k; r_0^k is pinned to 0 for even k.  A[row, row + d] is ab[2(m+2) - d, row + d].
+    P[t] holds piece t in rows j + u, u = -2..2, of column j = 1..m (zero where j + u leaves
+    1..m): (JD - DJ)/4, J^2, D^2, (JD + DJ)/4 and the identity.  W[s, e/2, t] is the
+    polynomial in c = (1, d, k/16, lam) that scales piece t in the column block e, for rows
+    in the same block (s = 0), the next (s = 1) and the previous (s = 2).
     """
+    j, u = np.arange(1.0, m + 1)[:, None], np.arange(-2, 3)
+    diag = u == 0
+    pieces = np.stack(np.broadcast_arrays(
+        (np.abs(u) == 1) / 4.0,
+        diag * j * j,
+        (np.abs(u) == 2) + diag * (-1.0 - (j == 1) - (j < m)),
+        ((u == 1) * (2.0 * j + 1.0) + (u == -1) * (1.0 - 2.0 * j)) / 4.0,
+        diag * 1.0,
+    )) * ((j + u >= 1) & (j + u <= m))
+    e = np.arange(0.0, n + 1, 2)
+    below = e / np.maximum(e - 1.0, 1.0)  # e/(e-1), and 0 at e = 0 with no odd degree below
+    above = (e < n) * 1.0
+    up = np.sqrt((e + 2.0) / (e + 1.0)) * (e + 2 <= n)
+    weights = np.zeros((3, len(e), 5, 4))
+    weights[0, :, 0, 0] = above - below
+    weights[0, :, 1, 1] = -(below + above)
+    weights[0, :, 2, 2] = below + above
+    weights[0, :, 4, 3] = -e
+    # rows in the next block take Q^2, with -(JD + DJ)/4; rows in the previous one P^2, with +
+    for s, f, a in ((1, up, 1.0), (2, np.sqrt(below), -1.0)):
+        weights[s, :, 1, 1] = weights[s, :, 2, 2] = -f
+        weights[s, :, 3, 0] = a * f
+    for factor in (weights, pieces):
+        factor.flags.writeable = False
+    return weights, pieces.reshape(5, 5 * m)
+
+
+def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
+    """The real system on the even Hermite degrees, in gbtrf band storage: kl = ku = m+2.
+
+    With J = diag(j) and (D r)_j = r_{j-1} - r_{j+1} on j = 0..m (mirror r_{-1} = -r_1),
+    P, Q = a1 J +- a2 D, a1 = alpha/sqrt(lam) and a2 = lam sqrt(lam)/(4 alpha), the real
+    system for r_j^k, j >= 0, has for even e and odd o the rows (f^o = 0 for B)
+
+        sqrt(e) Q r^{e-1} + sqrt(e+1) P r^{e+1} - lam e r^e = f^e,
+        -sqrt(o) Q r^{o-1} - sqrt(o+1) P r^{o+1} - lam o r^o = f^o.
+
+    Eliminating each odd r^o leaves, in block row e, -sqrt(e/(e-1)) Q^2/lam on r^{e-2},
+    -(e/(e-1) QP + PQ)/lam - lam e on r^e and -sqrt((e+2)/(e+1)) P^2/lam on r^{e+2}, without
+    the terms whose odd degree e -+ 1 lies outside 1..n.  Over lam, QP and PQ are
+    d J^2 +- (JD - DJ)/4 - (k/16) D^2, and P^2 and Q^2 are d J^2 +- (JD + DJ)/4 + (k/16) D^2,
+    with d = alpha^2/lam^2 and k = lam^2/alpha^2.  r_0^e = 0, so the unknowns are r_j^e,
+    j >= 1, at (j-1) + m e/2.  Column j there holds j^2 of J^2 in row j; 1 of JD - DJ in
+    rows j -+ 1; -(2j-1) and 2j+1 of JD + DJ in rows j-1 and j+1; and 1 of D^2 in rows
+    j -+ 2 and -1 - [j=1] - [j<m] in row j.  A[row, col] is ab[2(m+2) + row - col, col].
+    """
+    m, n, w = sp.m, sp.n, sp.m + 2
+    weights, pieces = _schur_structure(m, n)
+    c = np.array([1.0, sp.model.pressure, sp.model.concentration / 16.0, sp.model.lam])
+    coef = ((weights @ c) @ pieces).reshape(3, -1, m, 5)  # block, column e/2, column j, row u
+    band = np.zeros((coef.shape[1], m, 3 * w + 1))  # column (j, e) is band[e/2, j-1]
+    band[:, :, 2 * w - 2 : 2 * w + 3] = coef[0]
+    # when m <= 4 two blocks share band rows, on entries that never share a row
+    band[:, :, 2 * w + m - 2 : 2 * w + m + 3] += coef[1]
+    band[:, :, 2 * w - m - 2 : 2 * w - m + 3] += coef[2]
+    return band.reshape(-1, 3 * w + 1).T  # Fortran order: gbtrf takes it without a copy
+
+
+def _couple(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
+    """sqrt(k) Q r^{k-1} + sqrt(k+1) P r^{k+1}, k = 0..n, on the half grid; see assemble_schur_band."""
     m, n, lam, alpha = sp.m, sp.n, sp.model.lam, sp.model.alpha
-    w, size = m + 2, (m + 1) * (n + 1)
-    j, k = np.arange(m + 1.0)[:, None], np.arange(n + 1.0)
-    live, sign = (j > 0) | (k % 2 == 1), np.where(k % 2 == 0, 1.0, -1.0)
-    a1 = sign * j * (alpha / math.sqrt(lam))
-    a2 = sign * live * (lam * math.sqrt(lam) / (4.0 * alpha))
-    left, right = j > 0, np.where(j == 0, 2.0, j < m)  # row 0 folds in r_{-1} = -r_1
-    up, down = np.sqrt(k + 1.0), np.sqrt(k)
-    ab = np.zeros((3 * w + 1, size), order="F")  # gbtrf takes it without a copy
-    for d, coef in ((-m - 1, a1 * down), (m + 1, a1 * up), (m, a2 * up * left),
-                    (-m - 2, -a2 * down * left), (m + 2, -a2 * up * right), (-m, a2 * down * right)):
-        ab[2 * w - d, max(d, 0) : size + min(d, 0)] = coef.ravel("F")[max(-d, 0) : size - max(d, 0)]
-    ab[:, :: 2 * (m + 1)] = 0.0  # the pinned unknowns enter no other row
-    ab[2 * w] = np.where(live, -lam * k, 1.0).ravel("F")
-    return ab
+    k = np.arange(n + 1.0)
+    padded = np.zeros((m + 1, n + 3))  # zero degrees -1 and n+1
+    padded[:, 1:-1] = r
+    lo, hi = np.sqrt(k) * padded[:, :-2], np.sqrt(k + 1.0) * padded[:, 2:]
+    diff = np.zeros((m + 3, n + 1))  # hi - lo on j = -1..m+1
+    diff[1:-1] = hi - lo
+    diff[0] = -diff[2]  # the mirror r_{-1} = -r_1
+    j = np.arange(m + 1.0)[:, None]
+    a1, a2 = alpha / math.sqrt(lam), lam * math.sqrt(lam) / (4.0 * alpha)
+    return a1 * j * (lo + hi) + a2 * (diff[:-2] - diff[2:])
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
-    """Solve the coefficient equation by one real banded LU, bandwidth m+2, on the half grid j >= 0.
+    """Solve the coefficient equation by one real banded LU on the even Hermite degrees.
 
     The truncated constant, even under (theta, kappa) -> (-theta, -kappa), is a
     near-kernel of the full operator (reciprocal condition about 1e-38 at (30, 61)).  psi is
     odd, and on its real, odd class C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k
     (phase_k = i for even k, 1 for odd k) the system is well conditioned and reality,
-    oddness and <psi>_mu = 0 hold exactly.  Partial pivoting can still grow the factors
-    (max|U|/max|A| reaches 1e14 at lam=5, alpha=0.2, (150, 21)), so while
-    ||apply_operator(X) - B|| / ||B|| exceeds SOLVE_RTOL the same LU corrects r from that
-    residual, at most REFINE_STEPS times.  Raises RuntimeError if the band is singular or
-    the residual is still above SOLVE_RTOL.
+    oddness and <psi>_mu = 0 hold exactly.  Its odd-degree rows have diagonal -lam k, so
+    the odd unknowns are eliminated exactly (assemble_schur_band) and follow from the even
+    ones by back-substitution.  Those pivots are small against the coupling when lam is
+    small and alpha large: at even n the first residual reaches 3e-6 at lam = 0.01,
+    alpha = 100.  So while ||apply_operator(X) - B|| / ||B|| exceeds SOLVE_RTOL the same LU
+    corrects X from that residual, at most REFINE_STEPS times.  Raises RuntimeError if the
+    right-hand side is not finite (from lam^2/alpha^2 = 2^31), if the band is singular, or
+    if the residual is still above SOLVE_RTOL.
     """
     b = assemble_rhs(sp)
-    phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
-    w = sp.m + 2
-
-    def half(full):  # the real half-grid column of a right-hand side in the class of B
-        return (np.conj(phase) * full[sp.m :]).real.reshape(-1, 1, order="F")
-
-    lu, piv, info = dgbtrf(assemble_band(sp), w, w, overwrite_ab=True)
+    b_norm = np.linalg.norm(b)
+    if not math.isfinite(b_norm):
+        k = sp.model.concentration
+        raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
+    m, n, w = sp.m, sp.n, sp.m + 2
+    lu, piv, info = dgbtrf(assemble_schur_band(sp), w, w, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"banded LU is singular (LAPACK gbtrf info {info})")
-    r = dgbtrs(lu, w, w, half(b), piv, overwrite_b=True)[0]
+    phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
+    lam_odd = sp.model.lam * np.arange(1.0, n + 1, 2)
+
+    def solve_half(f):  # the real half-grid system: even rows C - lam e, odd rows -C - lam o
+        g = np.zeros_like(f)
+        g[:, 1::2] = f[:, 1::2] / lam_odd
+        rhs = (f + _couple(g, sp))[1:, ::2]  # f_e - A_eo A_oo^-1 f_o on j >= 1
+        r = np.zeros_like(f)
+        even = dgbtrs(lu, w, w, rhs.ravel(order="F"), piv, overwrite_b=True)[0]
+        r[1:, ::2] = even.reshape(-1, m).T
+        r[:, 1::2] = -(_couple(r, sp)[:, 1::2] + f[:, 1::2]) / lam_odd
+        return r
+
+    r, defect = np.zeros((m + 1, n + 1)), -b
     for refinements in range(REFINE_STEPS + 1):
-        if refinements:
-            r = r - dgbtrs(lu, w, w, half(defect), piv, overwrite_b=True)[0]
-        rj = r.reshape((sp.m + 1, sp.n_hermite), order="F")
-        x = np.concatenate([np.conj(phase) * rj[:0:-1], phase * rj])
+        r = r - solve_half((np.conj(phase) * defect[m:]).real)
+        x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
         defect = apply_operator(x, sp) - b
-        residual = float(np.linalg.norm(defect) / np.linalg.norm(b))
+        residual = float(np.linalg.norm(defect) / b_norm)
         if residual <= SOLVE_RTOL:  # also fails on NaN
             return CoeffMatrix(entries=x, residual=residual)
         if not math.isfinite(residual):  # no correction can mend a non-finite system

@@ -69,6 +69,20 @@ class TestUsageErrors:
         assert err.startswith("cannot write output") and str(missing) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["gci"], ["residual", "--lambda", "1", "--alpha", "0.5,1"],
+         ["coeffs", "--alpha-range", "0.5:1:0.5"]],
+    )
+    def test_unwritable_output_fails_before_the_first_solve(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        solved = []
+        monkeypatch.setattr("ptwa.cli.solve_gci", solved.append)
+        missing = tmp_path / "no" / "such"
+        assert main([*command, "-m", "8", "-n", "17", "--out", str(missing / "x")]) == 1
+        assert solved == [] and capsys.readouterr().out == ""
+
 
 def test_range_values_are_the_decimal_ones():
     # stepped in binary floating point this range held 0.6000000000000001
@@ -106,6 +120,13 @@ class TestGci:
         assert len(err) == 1 and err[0].startswith("numerical failure: reconstruction is not finite")
         assert not (tmp_path / "run_psi.csv").exists()
         assert not (tmp_path / "run_coeffs.csv").exists()
+
+    def test_failed_run_keeps_an_existing_output(self, tmp_path):
+        # outputs are opened before the solve; a failure removes only the files it created
+        (tmp_path / "run_coeffs.csv").write_text("earlier run\n")
+        assert main(["gci", "--lambda", "5", "--alpha", "0.2", "--out", str(tmp_path / "run")]) == 2
+        assert (tmp_path / "run_coeffs.csv").read_text() == "earlier run\n"
+        assert not (tmp_path / "run_psi.csv").exists()
 
     @pytest.mark.parametrize("command", ["gci", "residual"])
     def test_non_real_psi_exits_numerical(self, command, tmp_path, capsys):
@@ -230,8 +251,8 @@ class TestCoeffs:
     def test_singular_band_writes_nan_row(self, tmp_path, capsys, monkeypatch):
         from ptwa import spectral
 
-        band = spectral.assemble_band
-        monkeypatch.setattr(spectral, "assemble_band", lambda sp: np.zeros_like(band(sp)))
+        band = spectral.assemble_schur_band
+        monkeypatch.setattr(spectral, "assemble_schur_band", lambda sp: np.zeros_like(band(sp)))
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--alpha-range", "1", "-m", "4", "-n", "7", "--out", str(out)])
         assert code == 0
@@ -239,8 +260,18 @@ class TestCoeffs:
         _, _, _, c2, g1, g2, d = (float(v) for v in read_lines(out)[2].split(","))
         assert all(math.isnan(v) for v in (c2, g1, g2)) and d == 1.0
 
+    def test_right_hand_side_past_two_to_the_30(self, tmp_path, capsys):
+        # ive(0, k) is NaN at k = 1.6e9; the i0e fallback leaves a finite, degenerate moment
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--lambda", "40000", "--alpha-range", "1", "-m", "6", "-n", "13",
+                     "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "degenerate point (degenerate moment" in err and "nan" not in err
+
     def test_pivot_growth_point_is_solved(self, tmp_path):
-        # the (120, 61) band at lambda = 5, alpha = 0.2 needs one refinement step
+        # partial pivoting grew the (120, 61) full band at lambda = 5, alpha = 0.2; the
+        # even-degree Schur band is solved without refinement
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--lambda", "5", "--alpha-range", "0.2", "-m", "120",
                      "--out", str(out)])
@@ -364,6 +395,22 @@ class TestSimulate:
         bad.write_text(content)
         assert main(["simulate", "--config", str(bad)]) == 1
         assert "bad config" in capsys.readouterr().err
+
+    def test_trajectory_and_stats_must_be_different_files(self, tmp_path, capsys):
+        # two handles on one file would overwrite each other's rows
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "same.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--traj", str(out)]) == 1
+        assert "different file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_trajectory_leaves_no_stats_file(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "stats.csv"
+        traj = tmp_path / "no" / "such" / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--traj", str(traj)]) == 1
+        assert capsys.readouterr().err.startswith("cannot write output")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--traj"])
     def test_unwritable_output_is_a_one_line_error(self, flag, tmp_path, capsys):

@@ -17,7 +17,7 @@ from ptwa.spectral import (
     CoeffMatrix,
     SpectralParams,
     apply_operator,
-    assemble_band,
+    assemble_schur_band,
     assemble_rhs,
     psi_on_grid,
     reconstruct_psi,
@@ -36,6 +36,33 @@ def class_member(r: np.ndarray) -> np.ndarray:
     """C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k, phase_k = i (k even) or 1 (k odd)."""
     phase = np.where(np.arange(r.shape[1]) % 2 == 0, 1j, 1.0)
     return np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
+
+
+def reduced_matrix(sp: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
+    """L on the real, odd class as a dense matrix, one apply_operator call per class_member column.
+
+    Unknowns and rows are r_j^k over j = 0..m, k = 0..n in column-major (j fastest) order,
+    without the pinned r_0^k of even k; also returns the Hermite degree of each unknown.
+    """
+    j, k = np.meshgrid(np.arange(sp.m + 1), np.arange(sp.n_hermite), indexing="ij")
+    live = ((j > 0) | (k % 2 == 1)).ravel(order="F")
+    phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
+    columns = []
+    for unknown in np.flatnonzero(live):
+        r = np.zeros((sp.m + 1) * sp.n_hermite)
+        r[unknown] = 1.0
+        y = apply_operator(class_member(r.reshape(j.shape, order="F")), sp)
+        columns.append((np.conj(phase) * y[sp.m :]).real.ravel(order="F")[live])
+    return np.array(columns).T, k.ravel(order="F")[live]
+
+
+def least_norm_oracle(sp: SpectralParams) -> CoeffMatrix:
+    """Min-norm least squares on the stencil matrix, then the constant projected out."""
+    b = assemble_rhs(sp).flatten(order="F")
+    vec, *_ = np.linalg.lstsq(stencil_galerkin_matrix(sp), b, rcond=None)
+    ones = constant_coefficients(sp).flatten(order="F")
+    vec -= np.vdot(ones, vec) / np.vdot(ones, ones) * ones
+    return CoeffMatrix(vec.reshape((sp.n_fourier, sp.n_hermite), order="F"))
 
 
 def dense_from_band(ab: np.ndarray, w: int) -> np.ndarray:
@@ -152,12 +179,24 @@ class TestSolveGci:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_result_raises(self):
         # lambda^2/alpha^2 overflows, so ive(0, inf) = 0 leaves the right-hand side NaN
-        with pytest.raises(RuntimeError, match="residual nan"):
+        with pytest.raises(RuntimeError, match="right-hand side is not finite"):
             solve_gci(SpectralParams(4, 7, ModelParams(1e154, 1e-3)))
+
+    def test_right_hand_side_past_two_to_the_30(self):
+        # ive(0, k) is NaN from k = 2^30; the i0e fallback keeps the right-hand side finite
+        sp = SpectralParams(6, 13, ModelParams(40000.0, 1.0))  # k = 1.6e9
+        x = solve_gci(sp)
+        assert x.residual <= spectral.SOLVE_RTOL
+        with pytest.raises(ArithmeticError, match="degenerate moment"):
+            compute_hydro_coeffs(x, sp)
+        # from k = 2^31 on, ive(n, k/2) is NaN itself
+        with pytest.raises(RuntimeError, match="right-hand side is not finite"):
+            solve_gci(SpectralParams(6, 13, ModelParams(50000.0, 1.0)))
 
     def test_singular_band_raises(self, monkeypatch):
         sp = SpectralParams(m=3, n=4, model=UNIT)
-        monkeypatch.setattr(spectral, "assemble_band", lambda p: np.zeros_like(assemble_band(p)))
+        band = assemble_schur_band
+        monkeypatch.setattr(spectral, "assemble_schur_band", lambda p: np.zeros_like(band(p)))
         with pytest.raises(RuntimeError, match="singular"):
             solve_gci(sp)
 
@@ -172,7 +211,8 @@ class TestReducedSolve:
 
     @pytest.mark.parametrize("m,n", [(3, 4), (5, 6)])
     def test_class_is_closed_under_the_operator(self, m, n):
-        # L maps the real, odd class into itself, and the band is L on the class
+        # L maps the real, odd class into itself, and the Schur band is L on the class with
+        # the odd degrees eliminated: for y = L r, S r_even = y_even - L_eo L_oo^-1 y_odd
         for model in (UNIT, ModelParams(2.0, 0.6)):
             sp = SpectralParams(m=m, n=n, model=model)
             r = np.random.default_rng(m + n).standard_normal((m + 1, n + 1))
@@ -185,27 +225,58 @@ class TestReducedSolve:
             phase = np.where(np.arange(n + 1) % 2 == 0, 1j, 1.0)
             reduced = np.conj(phase) * y[m:]
             assert np.max(np.abs(reduced.imag)) <= 1e-15 * scale
-            band = dense_from_band(assemble_band(sp), m + 2)
-            got = band @ r.flatten(order="F")
-            assert np.max(np.abs(got - reduced.real.flatten(order="F"))) <= 1e-14 * scale
+            odd = np.zeros_like(r)
+            odd[:, 1::2] = reduced.real[:, 1::2] / (sp.model.lam * np.arange(1, n + 1, 2))
+            through_odd = apply_operator(class_member(odd), sp)[m:]
+            eliminated = reduced.real + (np.conj(phase) * through_odd).real
+            band = dense_from_band(assemble_schur_band(sp), m + 2)
+            got = band @ r[1:, ::2].flatten(order="F")
+            want = eliminated[1:, ::2].flatten(order="F")
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("m,n", [(6, 13), (10, 21)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5), (5, 6)])
+    def test_band_is_the_dense_schur_complement(self, m, n):
+        # odd degrees couple to each other only through the diagonal -lam k; eliminating them
+        # from the dense reduced operator gives the band (m <= 4: two blocks share band rows)
+        for model in (UNIT, ModelParams(2.0, 0.6), ModelParams(0.2, 5.0)):
+            sp = SpectralParams(m=m, n=n, model=model)
+            a, degree = reduced_matrix(sp)
+            even, odd = degree % 2 == 0, degree % 2 == 1
+            a_oo = a[np.ix_(odd, odd)]
+            assert np.array_equal(a_oo, np.diag(-model.lam * degree[odd]))
+            schur = a[np.ix_(even, even)] - a[np.ix_(even, odd)] @ np.linalg.solve(
+                a_oo, a[np.ix_(odd, even)])
+            band = dense_from_band(assemble_schur_band(sp), m + 2)
+            assert np.max(np.abs(band - schur)) <= 1e-13 * np.max(np.abs(schur))
+
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (6, 13), (10, 21)]
+    )
     def test_matches_dense_least_norm_oracle(self, m, n):
-        # independent route: min-norm least squares on the stencil matrix, then mean-zero
         for model in (UNIT, ModelParams(2.0, 0.6), ModelParams(5.0, 0.2), ModelParams(0.2, 5.0)):
             sp = SpectralParams(m=m, n=n, model=model)
-            b = assemble_rhs(sp).flatten(order="F")
-            vec, *_ = np.linalg.lstsq(stencil_galerkin_matrix(sp), b, rcond=None)
-            ones = constant_coefficients(sp).flatten(order="F")
-            vec -= np.vdot(ones, vec) / np.vdot(ones, ones) * ones
-            oracle = CoeffMatrix(vec.reshape((sp.n_fourier, sp.n_hermite), order="F"))
+            oracle = least_norm_oracle(sp)
             x = solve_gci(sp)
             assert np.max(np.abs(x.entries - oracle.entries)) < 1e-10
             c2 = compute_hydro_coeffs(x, sp).c2
             assert abs(c2 - compute_hydro_coeffs(oracle, sp).c2) < 1e-12
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (6, 12)])
+    def test_small_odd_pivots_are_refined_away(self, m, n, monkeypatch):
+        # at small lam and large alpha the odd pivots -lam k are small against the coupling,
+        # and at even n the first Schur solve leaves a residual of 1e-8 to 7e-8
+        sp = SpectralParams(m=m, n=n, model=ModelParams(0.02, 50.0))
+        x = solve_gci(sp)
+        assert x.residual <= spectral.SOLVE_RTOL
+        oracle = least_norm_oracle(sp).entries
+        assert np.max(np.abs(x.entries - oracle)) < 1e-10 * np.max(np.abs(oracle))
+        monkeypatch.setattr(spectral, "REFINE_STEPS", 0)
+        with pytest.raises(RuntimeError, match="after 0 refinement steps"):
+            solve_gci(sp)
+
     def test_pivot_growth_is_refined_away(self):
-        # partial pivoting grows the factors here: the first solve's residual is 5e-7
+        # partial pivoting grew the factors of the full half-grid band here (first residual
+        # 5e-7, refined away); the even-degree Schur band meets SOLVE_RTOL at its first solve
         sp = SpectralParams(m=120, n=61, model=ModelParams(5.0, 0.2))
         x = solve_gci(sp)
         assert x.residual <= spectral.SOLVE_RTOL
