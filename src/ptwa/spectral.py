@@ -12,11 +12,18 @@ in which each coefficient couples only to itself, (j, k+-1) and (j+-1, k+-1).
 The solution is real and odd under (theta, kappa) -> (-theta, -kappa), which
 fixes every coefficient by one real number r_j^k with j >= 0.  In that real
 system the odd Hermite degrees couple only to the even ones, and to themselves
-through the diagonal -lam k, so they are eliminated exactly: one banded LU
-(LAPACK gbtrf, kl = ku = m+2) solves the Schur complement on the even degrees,
-m ceil((n+1)/2) unknowns, the odd degrees follow by back-substitution, and the
-same LU refines the result from the full residual where the small odd pivots
-spoil it.  No matrix of the full complex system is ever formed.
+through the diagonal -lam k, so they are eliminated exactly.  L is a transport
+part, antisymmetric in L^2(mu), plus the Ornstein-Uhlenbeck part, -lam k on
+degree k.  On the real half grid the antisymmetry reads A_oe = -W A_eo^T, with
+A_eo and A_oe the even-to-odd couplings and W = diag(2 at j = 0, 1 at j >= 1)
+on the odd unknowns (r_0 stands for C_0 alone, r_j for both C_+-j).  So the
+Schur complement on the even degrees, S = -lam E - A_eo (lam O)^-1 W A_eo^T with
+E and O the diagonals of the even and odd degrees, is symmetric negative
+definite: one banded Cholesky factor of -S (LAPACK pbtrf, kd = m+2, the lower
+band only) solves it on m ceil((n+1)/2) unknowns, the odd degrees follow by
+back-substitution, and the same factor refines the result from the full
+residual where the small odd pivots spoil it.  No matrix of the full complex
+system is ever formed.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import ive
 
 from .equilibrium import ModelParams, _ive, von_mises_pdf
@@ -108,15 +115,23 @@ class CoeffMatrix:
         return reality, oddness
 
 
-def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
-    """The integrals of exp(i (j + q) theta) sqrt(M(theta) / 2 pi) over theta, for j = -m..m.
+@functools.lru_cache(maxsize=4)  # one point's solve and moments share it
+def _bessel_column(m: int, k: float) -> np.ndarray:
+    """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that von_mises_projection slices."""
+    column = ive(np.arange(m + 3), k / 2.0) / math.sqrt(_ive(0, k))
+    column.flags.writeable = False
+    return column
 
-    Each is I_{j+q}(k/2) / sqrt(I0(k)), k = lam^2/alpha^2, in the scaled form ive(n, x) =
+
+def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
+    """The integrals of exp(i (j + q) theta) sqrt(M(theta) / 2 pi) over theta, j = -m..m, |q| <= 2.
+
+    Each is I_{|j+q|}(k/2) / sqrt(I0(k)), k = lam^2/alpha^2, in the scaled form ive(n, x) =
     exp(-x) I_n(x) so the exponentials cancel; every theta moment against M combines them.
     Past k = 2^31 ive(n, k/2) is NaN, and solve_gci names the non-finite right-hand side.
     """
-    k = sp.model.concentration
-    return ive(sp.fourier_orders() + q, k / 2.0) / math.sqrt(_ive(0, k))
+    column = _bessel_column(sp.m, sp.model.concentration)
+    return column[np.abs(sp.fourier_orders() + q)]
 
 
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
@@ -150,12 +165,12 @@ def apply_operator(entries: np.ndarray, sp: SpectralParams) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The model-free factors (W, P) of assemble_schur_band, whose band is (W @ c) @ P.
+    """The model-free factors (W, P) of assemble_schur_band, whose lower band is (W @ c) @ P.
 
     P[t] holds piece t in rows j + u, u = -2..2, of column j = 1..m (zero where j + u leaves
     1..m): (JD - DJ)/4, J^2, D^2, (JD + DJ)/4 and the identity.  W[s, e/2, t] is the
     polynomial in c = (1, d, k/16, lam) that scales piece t in the column block e, for rows
-    in the same block (s = 0), the next (s = 1) and the previous (s = 2).
+    in the same block (s = 0) and the next (s = 1); the previous block is their transpose.
     """
     j, u = np.arange(1.0, m + 1)[:, None], np.arange(-2, 3)
     diag = u == 0
@@ -170,22 +185,21 @@ def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     below = e / np.maximum(e - 1.0, 1.0)  # e/(e-1), and 0 at e = 0 with no odd degree below
     above = (e < n) * 1.0
     up = np.sqrt((e + 2.0) / (e + 1.0)) * (e + 2 <= n)
-    weights = np.zeros((3, len(e), 5, 4))
+    weights = np.zeros((2, len(e), 5, 4))
     weights[0, :, 0, 0] = above - below
     weights[0, :, 1, 1] = -(below + above)
     weights[0, :, 2, 2] = below + above
     weights[0, :, 4, 3] = -e
-    # rows in the next block take Q^2, with -(JD + DJ)/4; rows in the previous one P^2, with +
-    for s, f, a in ((1, up, 1.0), (2, np.sqrt(below), -1.0)):
-        weights[s, :, 1, 1] = weights[s, :, 2, 2] = -f
-        weights[s, :, 3, 0] = a * f
+    # rows in the next block take Q^2, with -(JD + DJ)/4
+    weights[1, :, 1, 1] = weights[1, :, 2, 2] = -up
+    weights[1, :, 3, 0] = up
     for factor in (weights, pieces):
         factor.flags.writeable = False
     return weights, pieces.reshape(5, 5 * m)
 
 
 def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
-    """The real system on the even Hermite degrees, in gbtrf band storage: kl = ku = m+2.
+    """-S, S the real system on the even Hermite degrees, in pbtrf lower band storage, kd = m+2.
 
     With J = diag(j) and (D r)_j = r_{j-1} - r_{j+1} on j = 0..m (mirror r_{-1} = -r_1),
     P, Q = a1 J +- a2 D, a1 = alpha/sqrt(lam) and a2 = lam sqrt(lam)/(4 alpha), the real
@@ -201,18 +215,20 @@ def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
     with d = alpha^2/lam^2 and k = lam^2/alpha^2.  r_0^e = 0, so the unknowns are r_j^e,
     j >= 1, at (j-1) + m e/2.  Column j there holds j^2 of J^2 in row j; 1 of JD - DJ in
     rows j -+ 1; -(2j-1) and 2j+1 of JD + DJ in rows j-1 and j+1; and 1 of D^2 in rows
-    j -+ 2 and -1 - [j=1] - [j<m] in row j.  A[row, col] is ab[2(m+2) + row - col, col].
+    j -+ 2 and -1 - [j=1] - [j<m] in row j.  S is symmetric negative definite (module
+    docstring), so only its lower band is written: -S[row, col] is ab[row - col, col].
     """
-    m, n, w = sp.m, sp.n, sp.m + 2
+    m, n = sp.m, sp.n
     weights, pieces = _schur_structure(m, n)
-    c = np.array([1.0, sp.model.pressure, sp.model.concentration / 16.0, sp.model.lam])
-    coef = ((weights @ c) @ pieces).reshape(3, -1, m, 5)  # block, column e/2, column j, row u
-    band = np.zeros((coef.shape[1], m, 3 * w + 1))  # column (j, e) is band[e/2, j-1]
-    band[:, :, 2 * w - 2 : 2 * w + 3] = coef[0]
-    # when m <= 4 two blocks share band rows, on entries that never share a row
-    band[:, :, 2 * w + m - 2 : 2 * w + m + 3] += coef[1]
-    band[:, :, 2 * w - m - 2 : 2 * w - m + 3] += coef[2]
-    return band.reshape(-1, 3 * w + 1).T  # Fortran order: gbtrf takes it without a copy
+    c = -np.array([1.0, sp.model.pressure, sp.model.concentration / 16.0, sp.model.lam])
+    coef = ((weights @ c) @ pieces).reshape(2, -1, m, 5)  # block, column e/2, column j, row u
+    band = np.zeros((coef.shape[1], m, m + 3))  # column (j, e) is band[e/2, j-1]
+    band[:, :, :3] = coef[0, :, :, 2:]
+    # the next block sits in rows m + u; when m <= 4 it shares band rows with this one, on
+    # entries that never share a row, and at m = 1 its u = -2 row, zero there, lies above
+    top = max(m - 2, 0)
+    band[:, :, top:] += coef[1, :, :, top - m + 2 :]
+    return band.reshape(-1, m + 3).T  # Fortran order: pbtrf takes it without a copy
 
 
 def _couple(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
@@ -231,41 +247,47 @@ def _couple(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
-    """Solve the coefficient equation by one real banded LU on the even Hermite degrees.
+    """Solve the coefficient equation by one real banded Cholesky on the even Hermite degrees.
 
     The truncated constant, even under (theta, kappa) -> (-theta, -kappa), is a
     near-kernel of the full operator (reciprocal condition about 1e-38 at (30, 61)).  psi is
     odd, and on its real, odd class C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k
     (phase_k = i for even k, 1 for odd k) the system is well conditioned and reality,
     oddness and <psi>_mu = 0 hold exactly.  Its odd-degree rows have diagonal -lam k, so
-    the odd unknowns are eliminated exactly (assemble_schur_band) and follow from the even
-    ones by back-substitution.  Those pivots are small against the coupling when lam is
-    small and alpha large: at even n the first residual reaches 3e-6 at lam = 0.01,
-    alpha = 100.  So while ||apply_operator(X) - B|| / ||B|| exceeds SOLVE_RTOL the same LU
-    corrects X from that residual, at most REFINE_STEPS times.  Raises RuntimeError if the
-    right-hand side is not finite (from lam^2/alpha^2 = 2^31), if the band is singular, or
-    if the residual is still above SOLVE_RTOL.
+    the odd unknowns are eliminated exactly and follow from the even ones by
+    back-substitution.  The even-degree Schur complement S is symmetric negative definite,
+    because L's transport part is antisymmetric and its Ornstein-Uhlenbeck part is -lam k
+    (assemble_schur_band), so -S takes a Cholesky factor without pivoting.  The odd pivots
+    are small against the coupling when lam is small and alpha large: at even n the first
+    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||apply_operator(X) - B|| /
+    ||B|| exceeds SOLVE_RTOL the same factor corrects X from that residual, at most
+    REFINE_STEPS times.  Raises RuntimeError if the right-hand side is not finite (from
+    lam^2/alpha^2 = 2^31), if -S is not positive definite, or if the residual is still above
+    SOLVE_RTOL.
     """
     b = assemble_rhs(sp)
     b_norm = np.linalg.norm(b)
     if not math.isfinite(b_norm):
         k = sp.model.concentration
         raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
-    m, n, w = sp.m, sp.n, sp.m + 2
-    lu, piv, info = dgbtrf(assemble_schur_band(sp), w, w, overwrite_ab=True)
+    m, n = sp.m, sp.n
+    factor, info = dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
     if info != 0:
-        raise RuntimeError(f"banded LU is singular (LAPACK gbtrf info {info})")
+        raise RuntimeError(f"Schur band is not positive definite (LAPACK pbtrf info {info})")
     phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
     lam_odd = sp.model.lam * np.arange(1.0, n + 1, 2)
 
     def solve_half(f):  # the real half-grid system: even rows C - lam e, odd rows -C - lam o
-        g = np.zeros_like(f)
-        g[:, 1::2] = f[:, 1::2] / lam_odd
-        rhs = (f + _couple(g, sp))[1:, ::2]  # f_e - A_eo A_oo^-1 f_o on j >= 1
+        f_odd, rhs = f[:, 1::2], f[1:, ::2]
+        if f_odd.any():  # f_e - A_eo A_oo^-1 f_o on j >= 1; B lives in degree 0
+            g = np.zeros_like(f)
+            g[:, 1::2] = f_odd / lam_odd
+            rhs = (f + _couple(g, sp))[1:, ::2]
         r = np.zeros_like(f)
-        even = dgbtrs(lu, w, w, rhs.ravel(order="F"), piv, overwrite_b=True)[0]
+        # -rhs is a new array, so overwrite_b never writes into f
+        even = dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
         r[1:, ::2] = even.reshape(-1, m).T
-        r[:, 1::2] = -(_couple(r, sp)[:, 1::2] + f[:, 1::2]) / lam_odd
+        r[:, 1::2] = -(_couple(r, sp)[:, 1::2] + f_odd) / lam_odd
         return r
 
     r, defect = np.zeros((m + 1, n + 1)), -b

@@ -256,7 +256,7 @@ class TestCoeffs:
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--alpha-range", "1", "-m", "4", "-n", "7", "--out", str(out)])
         assert code == 0
-        assert "banded LU is singular" in capsys.readouterr().err
+        assert "Schur band is not positive definite" in capsys.readouterr().err
         _, _, _, c2, g1, g2, d = (float(v) for v in read_lines(out)[2].split(","))
         assert all(math.isnan(v) for v in (c2, g1, g2)) and d == 1.0
 
@@ -270,8 +270,8 @@ class TestCoeffs:
         assert "degenerate point (degenerate moment" in err and "nan" not in err
 
     def test_pivot_growth_point_is_solved(self, tmp_path):
-        # partial pivoting grew the (120, 61) full band at lambda = 5, alpha = 0.2; the
-        # even-degree Schur band is solved without refinement
+        # partial pivoting grew the LU factors of the (120, 61) full band at lambda = 5,
+        # alpha = 0.2; the Cholesky factor of the even-degree Schur band solves it at once
         out = tmp_path / "c.csv"
         code = main(["coeffs", "--lambda", "5", "--alpha-range", "0.2", "-m", "120",
                      "--out", str(out)])

@@ -30,6 +30,8 @@ SYMMETRY_POINTS = [(lam, a) for lam in (0.5, 1.0, 2.0) for a in (0.5, 1.0, 2.0)]
     (5.0, 0.2),
     (0.2, 5.0),
 ]
+#: nine log-spaced values over [0.01, 100], for lam and alpha
+LOG_LATTICE = np.logspace(-2.0, 2.0, 9)
 
 
 def class_member(r: np.ndarray) -> np.ndarray:
@@ -66,12 +68,13 @@ def least_norm_oracle(sp: SpectralParams) -> CoeffMatrix:
 
 
 def dense_from_band(ab: np.ndarray, w: int) -> np.ndarray:
-    """The matrix held in gbsv band storage with kl = ku = w (entry (i, c) at ab[2w + i - c, c])."""
+    """The symmetric matrix held in pbtrf lower storage, kd = w (entry i >= c at ab[i - c, c])."""
+    assert ab.shape[0] == w + 1
     size = ab.shape[1]
     a = np.zeros((size, size))
     for c in range(size):
-        for i in range(max(0, c - w), min(size, c + w + 1)):
-            a[i, c] = ab[2 * w + i - c, c]
+        for i in range(c, min(size, c + w + 1)):
+            a[i, c] = a[c, i] = ab[i - c, c]
     return a
 
 
@@ -197,7 +200,7 @@ class TestSolveGci:
         sp = SpectralParams(m=3, n=4, model=UNIT)
         band = assemble_schur_band
         monkeypatch.setattr(spectral, "assemble_schur_band", lambda p: np.zeros_like(band(p)))
-        with pytest.raises(RuntimeError, match="singular"):
+        with pytest.raises(RuntimeError, match="not positive definite"):
             solve_gci(sp)
 
 
@@ -229,7 +232,7 @@ class TestReducedSolve:
             odd[:, 1::2] = reduced.real[:, 1::2] / (sp.model.lam * np.arange(1, n + 1, 2))
             through_odd = apply_operator(class_member(odd), sp)[m:]
             eliminated = reduced.real + (np.conj(phase) * through_odd).real
-            band = dense_from_band(assemble_schur_band(sp), m + 2)
+            band = -dense_from_band(assemble_schur_band(sp), m + 2)
             got = band @ r[1:, ::2].flatten(order="F")
             want = eliminated[1:, ::2].flatten(order="F")
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
@@ -246,8 +249,38 @@ class TestReducedSolve:
             assert np.array_equal(a_oo, np.diag(-model.lam * degree[odd]))
             schur = a[np.ix_(even, even)] - a[np.ix_(even, odd)] @ np.linalg.solve(
                 a_oo, a[np.ix_(odd, even)])
-            band = dense_from_band(assemble_schur_band(sp), m + 2)
+            band = -dense_from_band(assemble_schur_band(sp), m + 2)
             assert np.max(np.abs(band - schur)) <= 1e-13 * np.max(np.abs(schur))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 4), (2, 3), (3, 2), (3, 4), (4, 5)])
+    def test_schur_complement_is_symmetric_negative_definite(self, m, n):
+        # the transport part of L is antisymmetric in L^2(mu): on the half grid A_oe = -W A_eo^T,
+        # W = 2 on the odd unknowns at j = 0 (r_0 stands for C_0 alone) and 1 elsewhere, so
+        # S = -lam E - A_eo (lam O)^-1 W A_eo^T; checked on the dense reduced operator alone
+        for lam in LOG_LATTICE:
+            for alpha in LOG_LATTICE:
+                sp = SpectralParams(m=m, n=n, model=ModelParams(lam, alpha))
+                a, degree = reduced_matrix(sp)
+                even, odd = degree % 2 == 0, degree % 2 == 1
+                a_eo, a_oe = a[np.ix_(even, odd)], a[np.ix_(odd, even)]
+                w = np.where(np.arange(np.sum(odd)) % (m + 1) == 0, 2.0, 1.0)  # j = 0..m per degree
+                assert np.max(np.abs(a_oe + w[:, None] * a_eo.T)) <= 1e-15 * np.max(np.abs(a_eo))
+                schur = a[np.ix_(even, even)] - a_eo @ np.linalg.solve(a[np.ix_(odd, odd)], a_oe)
+                assert np.max(np.abs(schur - schur.T)) <= 1e-15 * np.max(np.abs(schur))
+                np.linalg.cholesky(-schur)  # raises LinAlgError unless -S is positive definite
+                assert np.min(np.linalg.eigvalsh(-schur)) > 0.0
+
+    @pytest.mark.parametrize("m,n", [(6, 13), (12, 25), (30, 61), (60, 121)])
+    def test_energy_identity(self, m, n):
+        # <psi, L psi>_mu keeps only the Ornstein-Uhlenbeck part, -lam sum k |C_j^k|^2, and
+        # <psi, -sin>_mu = -gamma1
+        for model in (UNIT, ModelParams(2.0, 0.5), ModelParams(0.5, 2.0), ModelParams(5.0, 0.2),
+                      ModelParams(0.2, 5.0)):
+            sp = SpectralParams(m=m, n=n, model=model)
+            x = solve_gci(sp)
+            energy = model.lam * np.sum(np.arange(n + 1) * np.abs(x.entries) ** 2)
+            gamma1 = compute_hydro_coeffs(x, sp).gamma1
+            assert abs(gamma1 - energy) <= 1e-13 * abs(gamma1)
 
     @pytest.mark.parametrize(
         "m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (6, 13), (10, 21)]
@@ -275,8 +308,9 @@ class TestReducedSolve:
             solve_gci(sp)
 
     def test_pivot_growth_is_refined_away(self):
-        # partial pivoting grew the factors of the full half-grid band here (first residual
-        # 5e-7, refined away); the even-degree Schur band meets SOLVE_RTOL at its first solve
+        # partial pivoting grew the LU factors of the full half-grid band here (first residual
+        # 5e-7, refined away); the Cholesky factor of the even-degree Schur band does not pivot
+        # and meets SOLVE_RTOL at its first solve
         sp = SpectralParams(m=120, n=61, model=ModelParams(5.0, 0.2))
         x = solve_gci(sp)
         assert x.residual <= spectral.SOLVE_RTOL
