@@ -42,6 +42,8 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+#: the most values a start:stop:step range may expand to
+MAX_RANGE_VALUES = 10**6
 TAIL_LINE = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}"
 
 
@@ -85,6 +87,9 @@ def _value_list(text: str) -> list[float]:
             count = math.floor((stop - start) / step) + 1
         except (ArithmeticError, ValueError):  # a non-numeric, NaN or infinite part
             raise argparse.ArgumentTypeError(f"range needs finite numbers, got {text!r}") from None
+        if count > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} has {count} values, more than {MAX_RANGE_VALUES}")
         values = [float(start + i * step) for i in range(count)]
     else:
         values = [float(p) for p in text.split(",") if p]

@@ -13,6 +13,7 @@ Philox stream that both stochastic simulators draw their noise from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,8 @@ def kappa_cutoff(params: ModelParams) -> float:
 def seeded_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based Philox stream keyed by (seed, stream); reproducible under any scheduling.
 
-    Raises ValueError unless both key words lie in [0, 2**64).
+    Raises ValueError unless both key words are integers (numpy's too) in [0, 2**64).
     """
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValueError(f"Philox key words must lie in [0, 2**64), got seed={seed}, stream={stream}")
+    if not all(isinstance(w, numbers.Integral) and 0 <= w < 2**64 for w in (seed, stream)):
+        raise ValueError(f"Philox key words must be integers in [0, 2**64): seed={seed}, stream={stream}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

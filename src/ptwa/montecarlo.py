@@ -23,6 +23,7 @@ changes a bit of the result.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -168,10 +169,12 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     (exact against the Gaussian weight); each grid point uses its own
     decorrelated path streams, with cfg.paths paths per point, and the rows where
     theta is a multiple of pi, so sin(theta) = 0, are not simulated.  Raises
-    ValueError, before any path runs, if n_grid_theta divides 4: every node is
-    then a multiple of pi/2, where sin(theta) cos(theta) vanishes, so gamma2 and
-    c2 would be round-off.
+    ValueError, before any path runs, unless both grid sizes are positive integers,
+    or if n_grid_theta divides 4: every node is then a multiple of pi/2, where
+    sin(theta) cos(theta) vanishes, so gamma2 and c2 would be round-off.
     """
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n_grid_theta, n_grid_kappa)):
+        raise ValueError(f"grid sizes must be positive integers, got {n_grid_theta}, {n_grid_kappa}")
     if 4 % n_grid_theta == 0:
         raise ValueError(f"n_grid_theta={n_grid_theta} puts every theta node where sin cos = 0")
     model = cfg.model

@@ -12,6 +12,7 @@ direction against the closed-form equilibrium.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,11 +230,12 @@ def run_simulation(cfg: SimConfig, t_final: float, every: int = 100):
 
     Yields (t, Agents) after every `every`-th step and after the last step,
     with t = (step_index + 1) * dt.  Raises ValueError at the call unless
-    t_final is finite and rounds to at least one step and every >= 1.
+    t_final is finite and rounds to at least one step and every is an integer >= 1.
     """
     n_steps = t_final / cfg.dt
-    if not (math.isfinite(n_steps) and round(n_steps) >= 1 and every >= 1):
-        raise ValueError(f"need a finite t_final > dt/2 and every >= 1, got {t_final}, {every}")
+    whole = isinstance(every, numbers.Integral)
+    if not (math.isfinite(n_steps) and round(n_steps) >= 1 and whole and every >= 1):
+        raise ValueError(f"need a finite t_final > dt/2 and an integer every >= 1, got {t_final}, {every}")
     return _snapshots(cfg, round(n_steps), every)
 
 

@@ -3,27 +3,22 @@
 The invariant psi solves L(psi) = -sin(theta) on the hyperplane of mu-mean-zero
 functions.  Expanded on the orthonormal basis phi_j(theta) P_k(kappa), with
 phi_j = exp(i j theta)/sqrt(2 pi M(theta)) and P_k the normalized probabilists'
-Hermite polynomials, the coefficient matrix X = {C_j^k} satisfies the Sylvester
-type matrix equation
-
-    beta1 M1 X N1 + beta2 M2 X N2 - lam X D2 = B,
-
-in which each coefficient couples only to itself, (j, k+-1) and (j+-1, k+-1).
-The solution is real and odd under (theta, kappa) -> (-theta, -kappa), which
-fixes every coefficient by one real number r_j^k with j >= 0.  In that real
-system the odd Hermite degrees couple only to the even ones, and to themselves
-through the diagonal -lam k, so they are eliminated exactly.  L is a transport
-part, antisymmetric in L^2(mu), plus the Ornstein-Uhlenbeck part, -lam k on
-degree k.  On the real half grid the antisymmetry reads A_oe = -W A_eo^T, with
-A_eo and A_oe the even-to-odd couplings and W = diag(2 at j = 0, 1 at j >= 1)
-on the odd unknowns (r_0 stands for C_0 alone, r_j for both C_+-j).  So the
-Schur complement on the even degrees, S = -lam E - A_eo (lam O)^-1 W A_eo^T with
-E and O the diagonals of the even and odd degrees, is symmetric negative
-definite: one banded Cholesky factor of -S (LAPACK pbtrf, kd = m+2, the lower
-band only) solves it on m ceil((n+1)/2) unknowns, the odd degrees follow by
-back-substitution, and the same factor refines the result from the full
-residual where the small odd pivots spoil it.  No matrix of the full complex
-system is ever formed.
+Hermite polynomials, the coefficients C_j^k solve a linear system in which each
+couples only to itself, (j, k+-1) and (j+-1, k+-1).  The solution is real and odd
+under (theta, kappa) -> (-theta, -kappa), which fixes every coefficient by one real
+number r_j^k with j >= 0, and _half_operator is L on that class (its rows are written
+out in assemble_schur_band); the complex system is never formed.  In that real system
+the odd Hermite degrees couple only to the even ones, and to themselves through the
+diagonal -lam k, so they are eliminated exactly.  L is a transport part,
+antisymmetric in L^2(mu), plus the Ornstein-Uhlenbeck part, -lam k on degree k.  On
+the real half grid the antisymmetry reads A_oe = -W A_eo^T, with A_eo and A_oe the
+even-to-odd couplings and W = diag(2 at j = 0, 1 at j >= 1) on the odd unknowns
+(r_0 stands for C_0 alone, r_j for both C_+-j).  So the Schur complement on the even
+degrees, S = -lam E - A_eo (lam O)^-1 W A_eo^T with E and O the diagonals of the even
+and odd degrees, is symmetric negative definite: one banded Cholesky factor of -S
+(LAPACK pbtrf, kd = m+2, the lower band only) solves it on m ceil((n+1)/2) unknowns,
+the odd degrees follow by back-substitution, and the same factor refines the result
+where the small odd pivots spoil it.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ __all__ = [
     "SpectralParams",
     "CoeffMatrix",
     "assemble_rhs",
-    "apply_operator",
     "assemble_schur_band",
     "solve_gci",
     "reconstruct_psi",
@@ -52,7 +46,7 @@ __all__ = [
     "von_mises_projection",
 ]
 
-#: relative algebraic residual ||L(X) - B|| / ||B|| required of the solve, with the full complex L
+#: relative algebraic residual ||L(X) - B|| / ||B|| required of the solve
 SOLVE_RTOL = 1e-10
 #: iterative-refinement steps allowed after the first banded solve
 REFINE_STEPS = 2
@@ -144,25 +138,6 @@ def assemble_rhs(sp: SpectralParams) -> np.ndarray:
     return b
 
 
-def apply_operator(entries: np.ndarray, sp: SpectralParams) -> np.ndarray:
-    """The operator of the module docstring applied to X, matrix-free.
-
-    M1 = diag(-m..m), M2 X = X shifted down a row minus X shifted up a row,
-    (XU)_k = sqrt(k) X_{k-1}, (XU^T)_k = sqrt(k+1) X_{k+1}, N1 = U + U^T, N2 = U^T - U,
-    D2 = diag(0..n), beta1 = i alpha/sqrt(lam) and beta2 = i lam sqrt(lam)/(4 alpha).
-    """
-    lam, alpha = sp.model.lam, sp.model.alpha
-    k = np.arange(sp.n_hermite)
-    x = np.zeros((sp.n_fourier, sp.n_hermite + 2), dtype=complex)  # zero columns k = -1, n+1
-    x[:, 1:-1] = entries
-    xu, xut = x[:, :-2] * np.sqrt(k), x[:, 2:] * np.sqrt(k + 1)
-    n2 = np.zeros((sp.n_fourier + 2, sp.n_hermite), dtype=complex)  # zero rows j = -m-1, m+1
-    n2[1:-1] = xut - xu
-    beta1, beta2 = 1j * alpha / math.sqrt(lam), 1j * lam * math.sqrt(lam) / (4.0 * alpha)
-    m1n1 = sp.fourier_orders()[:, None] * (xu + xut)
-    return beta1 * m1n1 + beta2 * (n2[:-2] - n2[2:]) - lam * k * entries
-
-
 @functools.lru_cache(maxsize=16)
 def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The model-free factors (W, P) of assemble_schur_band, whose lower band is (W @ c) @ P.
@@ -231,8 +206,11 @@ def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
     return band.reshape(-1, m + 3).T  # Fortran order: pbtrf takes it without a copy
 
 
-def _couple(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
-    """sqrt(k) Q r^{k-1} + sqrt(k+1) P r^{k+1}, k = 0..n, on the half grid; see assemble_schur_band."""
+def _half_operator(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
+    """L on the real, odd class, rows j = 0..m and k = 0..n, as written in assemble_schur_band.
+
+    The even rows at j = 0 are 0: r_0^e = 0 is pinned, so they are not equations.
+    """
     m, n, lam, alpha = sp.m, sp.n, sp.model.lam, sp.model.alpha
     k = np.arange(n + 1.0)
     padded = np.zeros((m + 1, n + 3))  # zero degrees -1 and n+1
@@ -243,7 +221,11 @@ def _couple(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
     diff[0] = -diff[2]  # the mirror r_{-1} = -r_1
     j = np.arange(m + 1.0)[:, None]
     a1, a2 = alpha / math.sqrt(lam), lam * math.sqrt(lam) / (4.0 * alpha)
-    return a1 * j * (lo + hi) + a2 * (diff[:-2] - diff[2:])
+    rows = a1 * j * (lo + hi) + a2 * (diff[:-2] - diff[2:])
+    rows[:, 1::2] *= -1.0
+    rows -= lam * k * r
+    rows[0, ::2] = 0.0
+    return rows
 
 
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
@@ -255,15 +237,14 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     (phase_k = i for even k, 1 for odd k) the system is well conditioned and reality,
     oddness and <psi>_mu = 0 hold exactly.  Its odd-degree rows have diagonal -lam k, so
     the odd unknowns are eliminated exactly and follow from the even ones by
-    back-substitution.  The even-degree Schur complement S is symmetric negative definite,
-    because L's transport part is antisymmetric and its Ornstein-Uhlenbeck part is -lam k
-    (assemble_schur_band), so -S takes a Cholesky factor without pivoting.  The odd pivots
+    back-substitution.  -S, S the even-degree Schur complement, is positive definite
+    (module docstring), so it takes a Cholesky factor without pivoting.  The odd pivots
     are small against the coupling when lam is small and alpha large: at even n the first
-    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||apply_operator(X) - B|| /
-    ||B|| exceeds SOLVE_RTOL the same factor corrects X from that residual, at most
-    REFINE_STEPS times.  Raises RuntimeError if the right-hand side is not finite (from
-    lam^2/alpha^2 = 2^31), if -S is not positive definite, or if the residual is still above
-    SOLVE_RTOL.
+    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||L(X) - B|| / ||B||, on the
+    half grid with rows j >= 1 counted twice for C_{+-j}, exceeds SOLVE_RTOL the same factor
+    corrects X from that defect, at most REFINE_STEPS times.  Raises RuntimeError if the
+    right-hand side is not finite (from lam^2/alpha^2 = 2^31), if -S is not positive
+    definite, or if the residual is still above SOLVE_RTOL.
     """
     b = assemble_rhs(sp)
     b_norm = np.linalg.norm(b)
@@ -277,27 +258,28 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
     lam_odd = sp.model.lam * np.arange(1.0, n + 1, 2)
 
-    def solve_half(f):  # the real half-grid system: even rows C - lam e, odd rows -C - lam o
+    def solve_half(f):  # _half_operator(r) = f
         f_odd, rhs = f[:, 1::2], f[1:, ::2]
         if f_odd.any():  # f_e - A_eo A_oo^-1 f_o on j >= 1; B lives in degree 0
             g = np.zeros_like(f)
             g[:, 1::2] = f_odd / lam_odd
-            rhs = (f + _couple(g, sp))[1:, ::2]
+            rhs = (f + _half_operator(g, sp))[1:, ::2]
         r = np.zeros_like(f)
         # -rhs is a new array, so overwrite_b never writes into f
         even = dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
         r[1:, ::2] = even.reshape(-1, m).T
-        r[:, 1::2] = -(_couple(r, sp)[:, 1::2] + f_odd) / lam_odd
+        r[:, 1::2] = (_half_operator(r, sp)[:, 1::2] - f_odd) / lam_odd
         return r
 
-    r, defect = np.zeros((m + 1, n + 1)), -b
+    f = (np.conj(phase) * b[m:]).real
+    r, defect = np.zeros((m + 1, n + 1)), -f
     for refinements in range(REFINE_STEPS + 1):
-        r = r - solve_half((np.conj(phase) * defect[m:]).real)
-        x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
-        defect = apply_operator(x, sp) - b
-        residual = float(np.linalg.norm(defect) / b_norm)
+        r = r - solve_half(defect)
+        defect = _half_operator(r, sp) - f
+        residual = math.hypot(np.linalg.norm(defect), np.linalg.norm(defect[1:])) / b_norm
         if residual <= SOLVE_RTOL:  # also fails on NaN
-            return CoeffMatrix(entries=x, residual=residual)
+            x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
+            return CoeffMatrix(entries=x, residual=float(residual))
         if not math.isfinite(residual):  # no correction can mend a non-finite system
             break
     raise RuntimeError(

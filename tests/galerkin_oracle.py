@@ -1,9 +1,10 @@
 """Reference routes for tests only: the Galerkin operator and the gamma moments.
 
 stencil_galerkin_matrix scatters the 3x3 single-mode stencil of L over all
-basis pairs, with no matrix product, so it is independent of
-spectral.apply_operator, which applies the same operator matrix-free; the two
-must agree on every coefficient matrix.  gamma_moments_trapezoid integrates
+basis pairs of the full complex system, with no matrix product, so it is
+independent of spectral._half_operator, which the solver applies to the real
+half grid of the solution's symmetry class; on that class the two must agree
+(stencil_on_class and half_grid_rows).  gamma_moments_trapezoid integrates
 the theta marginal on periodic nodes, independent of the Bessel projections
 of hydro.gamma_moments.
 """
@@ -21,8 +22,8 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
 
     Applying L to a single basis function phi_j P_k produces seven neighbor
     modes; each contribution is scattered into the big matrix indexed
-    column-major: flat index = (j + m) + (2m+1) * k.  Independent oracle for
-    apply_operator (same index convention, built without any matrix product).
+    column-major: flat index = (j + m) + (2m+1) * k, built without any matrix
+    product.
     """
     lam, alpha = sp.model.lam, sp.model.alpha
     beta1 = 1j * alpha / math.sqrt(lam)
@@ -53,6 +54,24 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
                 if -m <= tj <= m and 0 <= tk <= n and coeff != 0:
                     a[flat(tj, tk), col] += coeff
     return a
+
+
+def class_member(r: np.ndarray) -> np.ndarray:
+    """C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k, phase_k = i (k even) or 1 (k odd)."""
+    phase = np.where(np.arange(r.shape[1]) % 2 == 0, 1j, 1.0)
+    return np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
+
+
+def stencil_on_class(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The stencil matrix a applied to class_member(r), as a (2m+1) x (n+1) coefficient matrix."""
+    x = class_member(r)
+    return (a @ x.flatten(order="F")).reshape(x.shape, order="F")
+
+
+def half_grid_rows(y: np.ndarray) -> np.ndarray:
+    """Re(conj(phase_k) y_j^k) on j = 0..m: the real rows a member y of the class reduces to."""
+    phase = np.where(np.arange(y.shape[1]) % 2 == 0, 1j, 1.0)
+    return (np.conj(phase) * y[y.shape[0] // 2 :]).real
 
 
 def theta_marginal_times_m(x: CoeffMatrix, sp: SpectralParams, theta):

@@ -1,5 +1,6 @@
 """Command-line interface: emitted files, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -36,6 +37,13 @@ class TestUsageErrors:
 
     def test_non_numeric_range(self):
         assert main(["residual", "--lambda", "a:b:c"]) == 1
+
+    def test_range_of_more_than_a_million_values(self, capsys):
+        # the values were listed before any check, 10^15 of them for the second range
+        with pytest.raises(argparse.ArgumentTypeError, match="has 1000001 values"):
+            _value_list("1:1000001:1")
+        assert main(["residual", "--lambda", "1:1e15:1"]) == 1
+        assert "has 1000000000000000 values, more than 1000000" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_gci_rejects_non_finite(self, tmp_path):

@@ -155,13 +155,18 @@ class TestLargeConcentration:
 
 
 class TestSeededStream:
-    @pytest.mark.parametrize("seed, stream", [(0, 0), (5, 2**62), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize(
+        "seed, stream", [(0, 0), (5, 2**62), (2**64 - 1, 2**64 - 1), (np.int64(5), np.uint64(7))]
+    )
     def test_draws_from_the_unsigned_philox_key(self, seed, stream):
         key = np.array([seed, stream], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
         assert np.array_equal(seeded_stream(seed, stream).standard_normal(4), expected)
 
-    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    @pytest.mark.parametrize(
+        "seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.5, 0), (0, 2.0)]
+    )
     def test_rejects_key_words_outside_64_bits(self, seed, stream):
+        # a float key word was truncated by the uint64 key array: seed 1.5 ran seed 1
         with pytest.raises(ValueError, match="Philox key"):
             seeded_stream(seed, stream)

@@ -76,7 +76,7 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=1, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_rejects_seed_outside_the_philox_key(self, seed):
         with pytest.raises(ValueError, match="seed"):
             OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=100, seed=seed)
@@ -251,6 +251,25 @@ class TestMcC2:
         monkeypatch.setattr(montecarlo, "feynman_kac_psi", no_paths)
         with pytest.raises(ValueError, match="sin cos"):
             mc_c2(quick_cfg(paths=10), n_grid_theta=n_grid_theta, n_grid_kappa=4)
+
+    @pytest.mark.parametrize("n_grid_theta, n_grid_kappa", [(0, 4), (-3, 4), (6.0, 4), (6, 0),
+                                                            (6, 2.5)])
+    def test_grid_sizes_must_be_positive_integers(self, n_grid_theta, n_grid_kappa, monkeypatch):
+        # n_grid_theta = 0 raised ZeroDivisionError from the pi/2 node check
+        def no_paths(*args, **kwargs):
+            raise AssertionError("feynman_kac_psi ran")
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", no_paths)
+        with pytest.raises(ValueError, match="positive integers"):
+            mc_c2(quick_cfg(paths=10), n_grid_theta=n_grid_theta, n_grid_kappa=n_grid_kappa)
+
+    def test_numpy_integer_grid_sizes(self, monkeypatch):
+        def fake_psi(cfg, theta0, kappa0, stream_offset=0):
+            return {"estimate": math.sin(theta0) + kappa0, "std_error": 0.01}
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", fake_psi)
+        cfg = quick_cfg(paths=10)
+        assert mc_c2(cfg, np.int64(8), np.uint64(4)) == mc_c2(cfg, 8, 4)
 
     def test_std_error_carries_the_covariance_of_the_two_sums(self, monkeypatch):
         # gamma1 and gamma2 weigh the same psi estimates, so the error of c2 is the

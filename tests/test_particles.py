@@ -168,7 +168,7 @@ class TestSimConfig:
             config(box_size=math.inf)
         with pytest.raises(ValueError, match="finite"):
             config(radius=math.inf)
-        for seed in (-1, 2**64):  # the Philox key is unsigned 64-bit
+        for seed in (-1, 2**64, 1.5):  # the Philox key is unsigned 64-bit
             with pytest.raises(ValueError, match="seed"):
                 config(seed=seed)
         assert config(seed=2**64 - 1).seed == 2**64 - 1
@@ -430,13 +430,17 @@ class TestRunSimulation:
         # 20 steps of dt = 0.05: a snapshot after steps 7 and 14, and after the last step
         snapshots = list(run_simulation(cfg, t_final=1.0, every=7))
         assert [t for t, _ in snapshots] == [7 * cfg.dt, 14 * cfg.dt, 20 * cfg.dt]
+        numpy_every = run_simulation(cfg, t_final=1.0, every=np.int64(7))
+        assert [t for t, _ in numpy_every] == [t for t, _ in snapshots]
         agents = initial_state(cfg)
         for s in range(20):
             agents = step(agents, cfg, step_index=s)
         assert np.array_equal(snapshots[-1][1].theta, agents.theta)
         assert snapshots[-1][0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("t_final, every", [(1.0, 0), (1.0, -3), (0.01, 5), (math.inf, 5)])
+    @pytest.mark.parametrize(
+        "t_final, every", [(1.0, 0), (1.0, -3), (0.01, 5), (math.inf, 5), (1.0, 1.5)]
+    )
     def test_bad_run_raises_at_the_call(self, t_final, every, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("ran before the arguments were checked")
