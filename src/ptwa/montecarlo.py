@@ -23,13 +23,12 @@ changes a bit of the result.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, seeded_stream, theta_nodes, von_mises_pdf
+from .equilibrium import ModelParams, _is_integer, seeded_stream, theta_nodes, von_mises_pdf
 
 __all__ = ["OracleConfig", "feynman_kac_psi", "mc_c2", "MCC2Result"]
 
@@ -57,8 +56,8 @@ class OracleConfig:
             raise ValueError(f"dt must satisfy 0 < dt <= 0.01*min(1, 1/lam), got {self.dt}")
         if not 10.0 / lam <= self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and >= 10/lam for mixing, got {self.t_final}")
-        if self.paths < 2:
-            raise ValueError("need at least 2 paths (one antithetic pair)")
+        if not (_is_integer(self.paths) and self.paths >= 2):
+            raise ValueError(f"paths must be an integer >= 2 (one antithetic pair), got {self.paths!r}")
         seeded_stream(self.seed, 0)  # rejects a seed the Philox key cannot hold
 
     @property
@@ -173,7 +172,7 @@ def mc_c2(cfg: OracleConfig, n_grid_theta: int, n_grid_kappa: int) -> MCC2Result
     or if n_grid_theta divides 4: every node is then a multiple of pi/2, where
     sin(theta) cos(theta) vanishes, so gamma2 and c2 would be round-off.
     """
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n_grid_theta, n_grid_kappa)):
+    if not all(_is_integer(n) and n >= 1 for n in (n_grid_theta, n_grid_kappa)):
         raise ValueError(f"grid sizes must be positive integers, got {n_grid_theta}, {n_grid_kappa}")
     if 4 % n_grid_theta == 0:
         raise ValueError(f"n_grid_theta={n_grid_theta} puts every theta node where sin cos = 0")

@@ -12,12 +12,11 @@ direction against the closed-form equilibrium.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, seeded_stream, wrap_angle
+from .equilibrium import ModelParams, _is_integer, seeded_stream, wrap_angle
 
 __all__ = [
     "Agents",
@@ -71,8 +70,8 @@ class SimConfig:
     include_self: bool = True
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+        if not (_is_integer(self.n_agents) and self.n_agents >= 1):
+            raise ValueError(f"n_agents must be an integer >= 1, got {self.n_agents!r}")
         if not (0 < self.box_size < math.inf and 0 < self.radius < math.inf):
             raise ValueError("box_size and radius must be positive and finite")
         if not 0 < self.dt <= 0.1 / max(1.0, self.model.lam):
@@ -233,8 +232,7 @@ def run_simulation(cfg: SimConfig, t_final: float, every: int = 100):
     t_final is finite and rounds to at least one step and every is an integer >= 1.
     """
     n_steps = t_final / cfg.dt
-    whole = isinstance(every, numbers.Integral)
-    if not (math.isfinite(n_steps) and round(n_steps) >= 1 and whole and every >= 1):
+    if not (math.isfinite(n_steps) and round(n_steps) >= 1 and _is_integer(every) and every >= 1):
         raise ValueError(f"need a finite t_final > dt/2 and an integer every >= 1, got {t_final}, {every}")
     return _snapshots(cfg, round(n_steps), every)
 

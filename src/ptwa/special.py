@@ -4,7 +4,8 @@ The basis functions are ``P_n(kappa) = He_n(sqrt(lambda)/alpha * kappa) / sqrt(n
 orthonormal against the curvature equilibrium.  The modified Bessel functions
 behind every closed-form constant (normalizations, the density drift
 coefficient c1, the right-hand side of the spectral system) are scipy's
-exponentially scaled ``scipy.special.ive``, called where they are used.
+exponentially scaled ``scipy.special.ive``, called where they are used and
+loaded on first use by ``equilibrium._scipy``.
 """
 
 from __future__ import annotations

@@ -28,10 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.special import ive
 
-from .equilibrium import ModelParams, _ive, von_mises_pdf
+from .equilibrium import ModelParams, _is_integer, _ive, _scipy, von_mises_pdf
 from .grid import Grid2D, GridField
 from .special import hermite_p_row
 
@@ -63,10 +61,10 @@ class SpectralParams:
     model: ModelParams
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not (_is_integer(self.m) and self.m >= 1):
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def n_fourier(self) -> int:
@@ -88,7 +86,9 @@ class SpectralParams:
 class CoeffMatrix:
     """Complex coefficients C_j^k of psi, rows j = -m..m, columns k = 0..n.
 
-    Carries the relative algebraic residual of the solve.
+    Carries the relative algebraic residual ||L(X) - B|| / ||B|| of the solve (the CLI's
+    "algebraic residual").  It shows that the solve passed SOLVE_RTOL; it is not a measured
+    error.  A value near 1e-12 is round-off, and how L(X) - B is evaluated changes it.
     """
 
     entries: np.ndarray
@@ -112,7 +112,7 @@ class CoeffMatrix:
 @functools.lru_cache(maxsize=4)  # one point's solve and moments share it
 def _bessel_column(m: int, k: float) -> np.ndarray:
     """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that von_mises_projection slices."""
-    column = ive(np.arange(m + 3), k / 2.0) / math.sqrt(_ive(0, k))
+    column = _scipy("special").ive(np.arange(m + 3), k / 2.0) / math.sqrt(_ive(0, k))
     column.flags.writeable = False
     return column
 
@@ -242,7 +242,9 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     are small against the coupling when lam is small and alpha large: at even n the first
     residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||L(X) - B|| / ||B||, on the
     half grid with rows j >= 1 counted twice for C_{+-j}, exceeds SOLVE_RTOL the same factor
-    corrects X from that defect, at most REFINE_STEPS times.  Raises RuntimeError if the
+    corrects X from that defect, at most REFINE_STEPS times.  After refinement a residual
+    near 1e-12 is round-off: another evaluation of L(X) - B gives another value of that size,
+    so it says the solve passed SOLVE_RTOL, not how large its error is.  Raises RuntimeError if the
     right-hand side is not finite (from lam^2/alpha^2 = 2^31), if -S is not positive
     definite, or if the residual is still above SOLVE_RTOL.
     """
@@ -252,7 +254,8 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
         k = sp.model.concentration
         raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
     m, n = sp.m, sp.n
-    factor, info = dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
+    lapack = _scipy("linalg.lapack")
+    factor, info = lapack.dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"Schur band is not positive definite (LAPACK pbtrf info {info})")
     phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
@@ -266,7 +269,7 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
             rhs = (f + _half_operator(g, sp))[1:, ::2]
         r = np.zeros_like(f)
         # -rhs is a new array, so overwrite_b never writes into f
-        even = dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
+        even = lapack.dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
         r[1:, ::2] = even.reshape(-1, m).T
         r[:, 1::2] = (_half_operator(r, sp)[:, 1::2] - f_odd) / lam_odd
         return r

@@ -520,13 +520,8 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-#: prints the thread count of numpy's bundled OpenBLAS after ``import ptwa.cli``
-BLAS_POOL_PROBE = """
-import ctypes, glob, os
-import ptwa.cli
-import numpy
-
-libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
+#: prints the thread count of the first OpenBLAS in ``libs`` that exports a getter
+POOL_GETTER = """
 names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
          "openblas_get_num_threads64_", "openblas_get_num_threads")
 for path in sorted(libs):
@@ -540,6 +535,36 @@ for path in sorted(libs):
             raise SystemExit(0)
 print("no-symbol")
 """
+#: prints the thread count of numpy's bundled OpenBLAS after ``import ptwa.cli``
+BLAS_POOL_PROBE = """
+import ctypes, glob, os
+import ptwa.cli
+import numpy
+
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))""" + POOL_GETTER
+#: prints the thread count of scipy's own OpenBLAS, which loads with the first solve
+SCIPY_BLAS_POOL_PROBE = """
+import ctypes, glob, os
+from ptwa.equilibrium import ModelParams
+from ptwa.spectral import SpectralParams, solve_gci
+import scipy
+
+solve_gci(SpectralParams(12, 25, ModelParams(1.0, 1.0)))
+libs = glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "*openblas*"))""" + POOL_GETTER
+
+
+def blas_pool_size(probe: str, ptwa_threads: str | None) -> str:
+    """Run a pool probe in a fresh process with no other thread variable set; its output."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PTWA_NUM_THREADS")}
+    if ptwa_threads is not None:
+        env["PTWA_NUM_THREADS"] = ptwa_threads
+    src = str(Path(ptwa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestThreadPin:
@@ -556,3 +581,12 @@ class TestThreadPin:
         if out == "no-symbol":
             pytest.skip("numpy's bundled OpenBLAS exports no thread-count getter")
         assert int(out) == 1
+
+    def test_ptwa_num_threads_sizes_scipys_own_blas_pool(self):
+        # scipy.linalg loads with the first solve, after import ptwa applied the cap
+        out = blas_pool_size(SCIPY_BLAS_POOL_PROBE, "1")
+        if out == "no-symbol":
+            pytest.skip("scipy's bundled OpenBLAS exports no thread-count getter")
+        assert int(out) == 1
+        if len(os.sched_getaffinity(0)) > 1:  # the probe reads the pool: uncapped, it is wider
+            assert int(blas_pool_size(SCIPY_BLAS_POOL_PROBE, None)) > 1

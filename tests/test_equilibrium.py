@@ -170,3 +170,8 @@ class TestSeededStream:
         # a float key word was truncated by the uint64 key array: seed 1.5 ran seed 1
         with pytest.raises(ValueError, match="Philox key"):
             seeded_stream(seed, stream)
+
+    @pytest.mark.parametrize("seed, stream", [(True, 0), (0, False)])
+    def test_rejects_a_bool_key_word(self, seed, stream):
+        with pytest.raises(ValueError, match="Philox key"):
+            seeded_stream(seed, stream)

@@ -7,9 +7,34 @@ import pytest
 from kinetic_oracle import apply_Q, dissipation, flux_direction, integrate, mu_pdf
 
 from ptwa.equilibrium import ModelParams, gaussian_pdf, kappa_cutoff, von_mises_pdf
-from ptwa.grid import Grid2D, GridField, apply_L, residual_inf
+from ptwa.grid import Grid2D, GridField, _d2_kappa, _d_kappa, apply_L, residual_inf
+from ptwa.spectral import SpectralParams, psi_on_grid, solve_gci
 
 UNIT = ModelParams(1.0, 1.0)
+#: acceptance criterion 3's (lambda, alpha) points
+CRITERION_3 = [(lam, a) for lam in (0.5, 1.0, 2.0) for a in (0.5, 1.0, 2.0)]
+
+
+def meshgrid_apply_L(psi, params):
+    """apply_L as written on (n_theta, n_kappa) meshgrids with np.roll, the form it replaced."""
+    g, v = psi.grid, psi.values
+    th, ka = g.meshgrid()
+    dv_dtheta = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * g.d_theta)
+    dv_dkappa = _d_kappa(v, g.d_kappa)
+    return (
+        ka * dv_dtheta
+        - params.lam * np.sin(th) * dv_dkappa
+        - params.lam * ka * dv_dkappa
+        + params.alpha**2 * _d2_kappa(v, g.d_kappa)
+    )
+
+
+def meshgrid_residual_inf(psi, params):
+    """residual_inf as written on meshgrids, the form it replaced."""
+    th, ka = psi.grid.meshgrid()
+    res = meshgrid_apply_L(psi, params) + np.sin(th)
+    represented = psi.grid.interior_mask() & (np.abs(ka) <= kappa_cutoff(params))
+    return float(np.max(np.abs(res[represented])))
 
 
 def fine_grid(n_theta=64, n_kappa=101, half_width=5.0):
@@ -29,6 +54,27 @@ class TestGrid2D:
             Grid2D(4, -5.0, 5.0, 51)
         with pytest.raises(ValueError):
             Grid2D(32, -5.0, 5.0, 6)
+
+    @pytest.mark.parametrize(
+        "n_theta, n_kappa", [(31.5, 51), (32, 50.5), (32.0, 51), (True, 51), (32, np.float64(51))]
+    )
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n_theta, n_kappa):
+        # Grid2D(31.5, ...) built 32 theta nodes 2 pi/31.5 apart, so the period did not close
+        with pytest.raises(ValueError, match="integer"):
+            Grid2D(n_theta, -5.0, 5.0, n_kappa)
+
+    @pytest.mark.parametrize(
+        "kappa_min, kappa_max", [(-5.0, math.inf), (-math.inf, 5.0), (-5.0, math.nan), (math.nan, 5.0)]
+    )
+    def test_rejects_non_finite_kappa_bounds(self, kappa_min, kappa_max):
+        # kappa_max = inf gave NaN nodes and a RuntimeWarning
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D(32, kappa_min, kappa_max, 51)
+
+    def test_numpy_integer_node_counts(self):
+        g = Grid2D(np.int64(32), -5.0, 5.0, np.uint16(51))
+        assert np.array_equal(g.theta, Grid2D(32, -5.0, 5.0, 51).theta)
+        assert g.interior_mask().shape == (32, 51)
 
     def test_interior_mask(self):
         g = Grid2D(16, -5.0, 5.0, 11)
@@ -133,6 +179,32 @@ class TestApplyL:
         lhs = integrate(g, apply_Q(g, f, 0.0, UNIT) * phi)
         rhs = integrate(g, f * apply_L(GridField(g, phi), UNIT).values)
         assert lhs == pytest.approx(rhs, abs=5e-3 * max(1.0, abs(lhs)))
+
+
+class TestBroadcastVerifier:
+    """apply_L and residual_inf broadcast theta as a column and kappa as a row: the same bits."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [Grid2D(16, -5.0, 5.0, 11), Grid2D(32, -5.0, 5.0, 51), Grid2D(64, -5.0, 5.0, 101),
+         Grid2D(64, -8.0, 8.0, 161), Grid2D(31, -5.0, 5.0, 51)],
+    )
+    def test_test_grids(self, g):
+        p = ModelParams(1.3, 0.8)
+        th, ka = g.meshgrid()
+        for values in (ka.astype(float), np.sin(th) * np.exp(-(ka**2) / 8.0) + 0.3 * np.cos(2 * th) * ka):
+            psi = GridField(g, values)
+            assert np.array_equal(apply_L(psi, p).values, meshgrid_apply_L(psi, p))
+            assert residual_inf(psi, p) == meshgrid_residual_inf(psi, p)
+
+    @pytest.mark.parametrize("lam, alpha", CRITERION_3)
+    def test_criterion_3_points(self, lam, alpha):
+        sp = SpectralParams(30, 61, ModelParams(lam, alpha))
+        x = solve_gci(sp)
+        for g in (Grid2D(32, -5.0, 5.0, 51), Grid2D(64, -5.0, 5.0, 101)):
+            psi = psi_on_grid(x, sp, g)
+            assert np.array_equal(apply_L(psi, sp.model).values, meshgrid_apply_L(psi, sp.model))
+            assert residual_inf(psi, sp.model) == meshgrid_residual_inf(psi, sp.model)
 
 
 class TestResidualInf:

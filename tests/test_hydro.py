@@ -132,6 +132,14 @@ class TestHyperbolicity:
         with pytest.raises(ValueError):
             hyperbolicity_check(coeffs(), 4)
 
+    @pytest.mark.parametrize("samples", [64.5, 64.0, True])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, samples):
+        with pytest.raises(ValueError, match="integer"):
+            hyperbolicity_check(coeffs(), samples)
+
+    def test_numpy_integer_sample_count(self):
+        assert hyperbolicity_check(coeffs(), np.int16(64))
+
     def test_always_true_for_valid_coeffs(self):
         assert hyperbolicity_check(coeffs(), 64)
         assert hyperbolicity_check(coeffs(c1=0.99, c2=-0.4, d=5.0), 64)

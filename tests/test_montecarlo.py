@@ -76,6 +76,19 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=1, seed=0)
 
+    @pytest.mark.parametrize("paths", [5.5, 64.0, True])
+    def test_rejects_a_path_count_that_is_not_an_integer(self, paths):
+        # paths=5.5 was built, then failed with a TypeError inside numpy at the first probe
+        with pytest.raises(ValueError, match="integer"):
+            OracleConfig(model=UNIT, dt=5e-3, t_final=40.0, paths=paths, seed=0)
+
+    def test_numpy_integer_path_count(self):
+        cfg = OracleConfig(model=UNIT, dt=5e-3, t_final=10.0, paths=np.int32(8), seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = feynman_kac_psi(quick_cfg(paths=8, t_final=10.0, seed=4), 1.0, 0.5)
+            assert feynman_kac_psi(cfg, 1.0, 0.5) == expected
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_rejects_seed_outside_the_philox_key(self, seed):
         with pytest.raises(ValueError, match="seed"):

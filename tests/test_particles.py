@@ -173,6 +173,16 @@ class TestSimConfig:
                 config(seed=seed)
         assert config(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("n_agents", [2.5, 10.0, True])
+    def test_rejects_an_agent_count_that_is_not_an_integer(self, n_agents):
+        with pytest.raises(ValueError, match="integer"):
+            config(n_agents=n_agents)
+
+    def test_numpy_integer_agent_count(self):
+        cfg = config(n_agents=np.int64(12))
+        expected = initial_state(config(n_agents=12))
+        assert np.array_equal(initial_state(cfg).x, expected.x)
+
     def test_global_coupling_threshold(self):
         assert config(radius=10.0 * math.sqrt(2) / 2).global_coupling
         assert not config(radius=4.0).global_coupling

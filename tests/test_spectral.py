@@ -88,6 +88,16 @@ class TestSpectralParams:
         with pytest.raises(ValueError):
             SpectralParams(m=3, n=0, model=UNIT)
 
+    @pytest.mark.parametrize("m, n", [(2.5, 5), (True, 5), (3, 5.5), (3, True), (3.0, 5)])
+    def test_rejects_a_count_that_is_not_an_integer(self, m, n):
+        # SpectralParams(2.5, 5, ...) was built, then solve_gci failed with a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            SpectralParams(m, n, UNIT)
+
+    def test_numpy_integers_are_counts(self):
+        x = solve_gci(SpectralParams(np.int64(3), np.uint8(5), UNIT))
+        assert np.array_equal(x.entries, solve_gci(SpectralParams(3, 5, UNIT)).entries)
+
 
 class TestAssembleRhs:
     def test_shape_and_sparsity(self):
