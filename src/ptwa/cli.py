@@ -49,6 +49,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 #: the most values a start:stop:step range may expand to
 MAX_RANGE_VALUES = 10**6
+#: the most nodes a --delta grid may have; each array over it takes 8 bytes a node
+MAX_GRID_NODES = 10**6
 TAIL_LINE = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}"
 
 
@@ -106,9 +108,16 @@ def _value_list(text: str) -> list[float]:
 
 
 def _residual_grid(delta: float) -> Grid2D:
-    """[-pi, pi) x [-5, 5] with spacing as close to delta as the topology allows."""
+    """[-pi, pi) x [-5, 5] with spacing as close to delta as the topology allows.
+
+    Raises ValueError, a usage error, for more than MAX_GRID_NODES nodes.
+    """
     n_theta = max(8, int(round(2.0 * math.pi / delta)))
     n_kappa = max(8, int(round(10.0 / delta)) + 1)
+    if n_theta * n_kappa > MAX_GRID_NODES:
+        raise ValueError(
+            f"--delta {delta:g} gives a grid of {n_theta} x {n_kappa} = {n_theta * n_kappa} nodes, "
+            f"more than {MAX_GRID_NODES}")
     return Grid2D(n_theta=n_theta, kappa_min=-5.0, kappa_max=5.0, n_kappa=n_kappa)
 
 

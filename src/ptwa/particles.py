@@ -33,8 +33,10 @@ J_TOL = 1e-12
 #: cells exceed the radius by this fraction of the box, above the round-off in
 #: a cell index or a minimum-image distance; also keeps n_cells**2 within int64
 CELL_SLACK = 1e-9
-#: candidate pairs listed at once; bounds the pair pass's memory at any density
-PAIR_BLOCK = 2**18
+#: candidate pairs listed at once; bounds the pair pass's memory at any density.  Each of
+#: a block's 8-byte pair arrays is 512 kB, near a 2 MB per-core L2 cache; 2**18 made a
+#: step 1.4-1.5x slower at N = 5000 to 5e4 (5 agents per unit area, r = 1)
+PAIR_BLOCK = 2**16
 #: histogram bins for the relative-angle diagnostic
 HIST_BINS = 36
 #: stream index reserved for drawing the initial condition

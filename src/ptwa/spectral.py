@@ -206,20 +206,33 @@ def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
     return band.reshape(-1, m + 3).T  # Fortran order: pbtrf takes it without a copy
 
 
+@functools.lru_cache(maxsize=16)
+def _half_structure(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The read-only model-free vectors of _half_operator and solve_gci, built once per (m, n):
+    the Hermite degrees k = 0..n, sqrt(k), sqrt(k+1), the Fourier orders j = 0..m as a
+    column, and phase_k (solve_gci).
+    """
+    k = np.arange(n + 1.0)
+    vectors = (k, np.sqrt(k), np.sqrt(k + 1.0), np.arange(m + 1.0)[:, None],
+               np.where(np.arange(n + 1) % 2 == 0, 1j, 1.0))
+    for vector in vectors:
+        vector.flags.writeable = False
+    return vectors
+
+
 def _half_operator(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
     """L on the real, odd class, rows j = 0..m and k = 0..n, as written in assemble_schur_band.
 
     The even rows at j = 0 are 0: r_0^e = 0 is pinned, so they are not equations.
     """
     m, n, lam, alpha = sp.m, sp.n, sp.model.lam, sp.model.alpha
-    k = np.arange(n + 1.0)
+    k, sqrt_k, sqrt_k1, j, _ = _half_structure(m, n)
     padded = np.zeros((m + 1, n + 3))  # zero degrees -1 and n+1
     padded[:, 1:-1] = r
-    lo, hi = np.sqrt(k) * padded[:, :-2], np.sqrt(k + 1.0) * padded[:, 2:]
+    lo, hi = sqrt_k * padded[:, :-2], sqrt_k1 * padded[:, 2:]
     diff = np.zeros((m + 3, n + 1))  # hi - lo on j = -1..m+1
     diff[1:-1] = hi - lo
     diff[0] = -diff[2]  # the mirror r_{-1} = -r_1
-    j = np.arange(m + 1.0)[:, None]
     a1, a2 = alpha / math.sqrt(lam), lam * math.sqrt(lam) / (4.0 * alpha)
     rows = a1 * j * (lo + hi) + a2 * (diff[:-2] - diff[2:])
     rows[:, 1::2] *= -1.0
@@ -258,8 +271,8 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     factor, info = lapack.dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"Schur band is not positive definite (LAPACK pbtrf info {info})")
-    phase = np.where(np.arange(sp.n_hermite) % 2 == 0, 1j, 1.0)
-    lam_odd = sp.model.lam * np.arange(1.0, n + 1, 2)
+    k, *_, phase = _half_structure(m, n)
+    lam_odd = sp.model.lam * k[1::2]
 
     def solve_half(f):  # _half_operator(r) = f
         f_odd, rhs = f[:, 1::2], f[1:, ::2]
@@ -291,7 +304,6 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     )
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _real
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     """Evaluate psi(theta, kappa) = sum_jk C_j^k phi_j(theta) P_k(kappa).
 
@@ -306,10 +318,33 @@ def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):
     1/sqrt(M(theta)) amplifies near theta = pi.
     """
     theta = np.asarray(theta, dtype=float)
-    s = np.exp(1j * theta[..., None] * sp.fourier_orders()) @ x.entries  # theta.shape + (n+1,)
+    return _evaluate(x, sp, theta, _fourier_rows(theta, sp.m), kappa)
+
+
+def _fourier_rows(theta: np.ndarray, m: int) -> np.ndarray:
+    """exp(i j theta) for j = -m..m, shape theta.shape + (2m+1,)."""
+    return np.exp(1j * theta[..., None] * np.arange(-m, m + 1))
+
+
+@functools.lru_cache(maxsize=4)  # model-free: every (lam, alpha) on one grid shares it
+def _grid_fourier(grid: Grid2D, m: int) -> np.ndarray:
+    """The read-only _fourier_rows of grid.theta as a column, shape (n_theta, 1, 2m+1)."""
+    table = _fourier_rows(grid.theta[:, None], m)
+    table.flags.writeable = False
+    return table
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # non-finite values raise in _real
+def _evaluate(x: CoeffMatrix, sp: SpectralParams, theta: np.ndarray, fourier: np.ndarray, kappa):
+    """reconstruct_psi from fourier = _fourier_rows(theta, sp.m).
+
+    The Fourier sum is one 2-D product with theta's nodes as rows, and the sum over the
+    Hermite degree one einsum, which BLAS runs as a single product on a grid.
+    """
+    s = (fourier.reshape(-1, sp.n_fourier) @ x.entries).reshape(theta.shape + (sp.n_hermite,))
     p = hermite_p_row(sp.n, sp.model.lam, sp.model.alpha, kappa)  # kappa.shape + (n+1,)
     weight = np.sqrt(2.0 * math.pi * von_mises_pdf(sp.model, theta))
-    return _real(np.einsum("...k,...k->...", s, p) / weight)
+    return _real(np.einsum("...k,...k->...", s, p, optimize=True) / weight)
 
 
 def _real(vals: np.ndarray):
@@ -335,6 +370,9 @@ def psi_on_grid(x: CoeffMatrix, sp: SpectralParams, grid: Grid2D) -> GridField:
     rows beyond it hold the truncated series, which is not psi: there the
     coefficient round-off is amplified by the top Hermite degrees and by
     1/sqrt(M(theta)).  grid.residual_inf takes its sup inside the cutoff.
+    The values equal reconstruct_psi(x, sp, grid.theta[:, None], grid.kappa) bit for bit;
+    only exp(i j theta) on the grid's nodes comes from a cache, which holds nothing of the model.
     """
-    return GridField(grid, reconstruct_psi(x, sp, grid.theta[:, None], grid.kappa))
+    fourier = _grid_fourier(grid, sp.m)
+    return GridField(grid, _evaluate(x, sp, grid.theta[:, None], fourier, grid.kappa))
 

@@ -45,6 +45,18 @@ class TestUsageErrors:
         assert main(["residual", "--lambda", "1:1e15:1"]) == 1
         assert "has 1000000000000000 values, more than 1000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["gci"], ["residual", "--lambda", "1", "--alpha", "1"]])
+    def test_grid_of_more_than_a_million_nodes(self, command, tmp_path, capsys, monkeypatch):
+        # delta 0.0005 asked for 2.5e8 nodes and died in numpy after the solve
+        solved = []
+        monkeypatch.setattr("ptwa.cli.solve_gci", solved.append)
+        argv = [*command, "-m", "4", "-n", "5", "--delta", "0.0005", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("invalid configuration: --delta 0.0005 gives a grid of "
+                       "12566 x 20001 = 251332566 nodes, more than 1000000\n")
+        assert solved == [] and list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error")
     def test_gci_rejects_non_finite(self, tmp_path):
         for flags in (["--alpha", "inf"], ["--lambda", "nan"], ["--delta", "inf"]):

@@ -390,6 +390,7 @@ class TestReconstruction:
             (0.7, -1.2),  # scalar x scalar
             (th, ka),  # (N,) x (N,)
             (th, 0.4),  # (N,) x scalar
+            (th.reshape(2, 3), ka[:3]),  # (2, 3) x (3,): theta's nodes flattened for the Fourier sum
             (g.theta[:, None], g.kappa),  # (n_theta, 1) x (n_kappa,)
         ]
         for theta, kappa in cases:
@@ -399,6 +400,21 @@ class TestReconstruction:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         assert isinstance(reconstruct_psi(x, sp, 0.7, -1.2), float)
         assert np.array_equal(psi_on_grid(x, sp, g).values, reconstruct_psi(x, sp, *cases[-1]))
+
+    def test_grid_fourier_table_is_model_free_and_read_only(self, small_solution):
+        # psi_on_grid takes exp(i j theta) from a table cached per (grid, m); a second model
+        # on the same grid must reconstruct bit for bit as the uncached evaluator does
+        x, sp = small_solution
+        g = Grid2D(16, -3.0, 3.0, 11)
+        psi_on_grid(x, sp, g)
+        other = SpectralParams(sp.m, sp.n, ModelParams(0.7, 1.3))
+        y = solve_gci(other)
+        want = reconstruct_psi(y, other, g.theta[:, None], g.kappa)
+        assert np.array_equal(psi_on_grid(y, other, g).values, want)
+        table = spectral._grid_fourier(g, sp.m)
+        assert table.shape == (16, 1, sp.n_fourier) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.0
 
     def test_theta_marginal(self, small_solution):
         x, sp = small_solution
