@@ -150,16 +150,23 @@ def _open_outputs(*paths: str):
             fh.close()
 
 
-def _write_csv(fh, header: str, rows, *configs: dict) -> None:
+def _write_csv(fh, header: str, rows, config: dict) -> None:
     """Write fh afresh as CSV: a '# config: key=value,...' line, a header row, repr-exact floats.
 
-    The config line holds each dict's items sorted by key, the dicts in order.
+    The config items are sorted by key, and a list value is joined by ';', not ','.
     """
-    items = ",".join(f"{k}={v}" for config in configs for k, v in sorted(config.items()))
+    items = ",".join(f"{k}={';'.join(map(str, v)) if isinstance(v, list) else v}"
+                     for k, v in sorted(config.items()))
     fh.truncate(0)
     fh.write(f"# config: {items}\n{header}\n")
     for row in rows:
         fh.write(",".join(_format(v) for v in row) + "\n")
+
+
+def _flag_config(args) -> dict:
+    """The setting flags of a parsed subcommand, all but its output, for _write_csv (lam is lambda)."""
+    return {"lambda" if key == "lam" else key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "out")}
 
 
 def _format(value) -> str:
@@ -188,14 +195,14 @@ def cmd_gci(args) -> int:
     with _open_outputs(coeff_path, psi_path) as (coeff_fh, psi_fh):
         x, sp = _solve(args.lam, args.alpha, args.m, args.n)
         field = psi_on_grid(x, sp, grid)
-        config = {"lambda": args.lam, "alpha": args.alpha, "m": args.m, "n": args.n}
+        config = _flag_config(args)
         coeff_rows = [[j - sp.m, k, c.real, c.imag] for (j, k), c in np.ndenumerate(x.entries)]
         _write_csv(coeff_fh, "j,k,re,im", coeff_rows, config)
         th, ka = grid.meshgrid()
         psi_rows = zip(th.ravel(), ka.ravel(), field.values.ravel())
         # the dump is psi only where |kappa| <= kappa_cutoff; see psi_on_grid
-        grid_config = {"delta": args.delta, "kappa_cutoff": kappa_cutoff(sp.model)}
-        _write_csv(psi_fh, "theta,kappa,value", psi_rows, config, grid_config)
+        config["kappa_cutoff"] = kappa_cutoff(sp.model)
+        _write_csv(psi_fh, "theta,kappa,value", psi_rows, config)
     print(f"algebraic residual: {x.residual:.6e}")
     print(TAIL_LINE.format(*x.tail_norms()))
     print(f"wrote {coeff_path} and {psi_path}")
@@ -204,20 +211,13 @@ def cmd_gci(args) -> int:
 
 def cmd_residual(args) -> int:
     grid = _residual_grid(args.delta)
-    config = {
-        "lambda": ",".join(str(v) for v in args.lam),
-        "alpha": ",".join(str(v) for v in args.alpha),
-        "m": args.m,
-        "n": args.n,
-        "delta": args.delta,
-    }
     with _open_outputs(args.out) as (fh,):
         rows = []
         for lam in args.lam:
             for alpha in args.alpha:
                 x, sp = _solve(lam, alpha, args.m, args.n)
                 rows.append([lam, alpha, residual_inf(psi_on_grid(x, sp, grid), sp.model)])
-        _write_csv(fh, "lambda,alpha,residual_inf", rows, config)
+        _write_csv(fh, "lambda,alpha,residual_inf", rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.check:
         table = {(r[0], r[1]): r[2] for r in rows}
@@ -266,17 +266,9 @@ def cmd_coeffs(args) -> int:
     header = "lambda,alpha,c1,c2,gamma1,gamma2,d"
     if args.mc_check:
         header += ",mc_c2,mc_stderr"
-    config = {
-        "lambda": args.lam,
-        "alpha": ",".join(str(v) for v in args.alpha),
-        "m": args.m,
-        "n": args.n,
-        "mc_check": args.mc_check,
-        "seed": args.seed,
-    }
     with _open_outputs(args.out) as (fh,):
         rows = [_coeffs_row(args, alpha) for alpha in args.alpha]
-        _write_csv(fh, header, rows, config)
+        _write_csv(fh, header, rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -296,6 +288,10 @@ def cmd_simulate(args) -> int:
     if missing:
         print(f"config missing fields: {sorted(missing)}", file=sys.stderr)
         return EXIT_USAGE
+    unknown = raw.keys() - required - {"stride", "include_self"}
+    if unknown:  # a misspelt optional key would otherwise run with its default
+        print(f"bad config: unknown fields {sorted(unknown)}", file=sys.stderr)
+        return EXIT_USAGE
     include_self = raw.get("include_self", True)
     try:
         if not isinstance(include_self, bool):
@@ -309,7 +305,8 @@ def cmd_simulate(args) -> int:
             seed=_integer(raw, "seed"),
             include_self=include_self,
         )
-        snapshots = run_simulation(cfg, float(raw["t_final"]), _integer(raw, "stride", 100))
+        stride = _integer(raw, "stride", 100)
+        snapshots = run_simulation(cfg, float(raw["t_final"]), stride)
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -324,7 +321,7 @@ def cmd_simulate(args) -> int:
             if args.traj:
                 x, theta, kappa = agents.x, agents.theta, agents.kappa
                 traj_rows += ([t, i, *x[i], theta[i], kappa[i]] for i in range(len(agents)))
-        config = dict(raw)
+        config = {**raw, "stride": stride, "include_self": include_self}
         header = "t,order_parameter,mean_direction,curvature_variance"
         _write_csv(handles[0], header, stats_rows, config)
         if args.traj:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelParams, _is_integer, kappa_cutoff
+from .equilibrium import ModelParams, _is_integer, kappa_cutoff, theta_nodes
 
 __all__ = ["Grid2D", "GridField", "apply_L", "residual_inf"]
 
@@ -45,7 +45,7 @@ class Grid2D:
 
     @property
     def theta(self) -> np.ndarray:
-        return -math.pi + self.d_theta * np.arange(self.n_theta)
+        return theta_nodes(self.n_theta)
 
     @property
     def kappa(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _is_integer, c1_coefficient, theta_nodes
-from .spectral import CoeffMatrix, SpectralParams, von_mises_projection
+from .spectral import CoeffMatrix, SpectralParams, sine_projection
 
 __all__ = [
     "HydroCoeffs",
@@ -50,9 +50,8 @@ class HydroCoeffs:
 
 
 def _sine_moment(x: CoeffMatrix, sp: SpectralParams, q: int) -> float:
-    """<sin(q theta) psi>_mu = Re sum_j C_j^0 i (h(-q) - h(q)) / 2, h(s) = von_mises_projection(sp, s)."""
-    weights = 1j * (von_mises_projection(sp, -q) - von_mises_projection(sp, q)) / 2.0
-    return float(np.real(np.sum(x.entries[:, 0] * weights)))
+    """<sin(q theta) psi>_mu = Re sum_j C_j^0 sine_projection(sp, q)_j."""
+    return float(np.real(np.sum(x.entries[:, 0] * sine_projection(sp, q))))
 
 
 def gamma_moments(x: CoeffMatrix, sp: SpectralParams) -> dict:
@@ -60,7 +59,7 @@ def gamma_moments(x: CoeffMatrix, sp: SpectralParams) -> dict:
 
     Only the Hermite-degree-0 column survives the kappa integral, and
     phi_j sqrt(M) = exp(i j theta)/sqrt(2 pi), so each moment is that column
-    against Bessel columns (_sine_moment); there is no theta quadrature.
+    against a Bessel column (spectral.sine_projection); there is no theta quadrature.
     """
     gamma1 = _sine_moment(x, sp, 1)
     gamma2 = _sine_moment(x, sp, 2) / 2.0

@@ -41,6 +41,7 @@ __all__ = [
     "solve_gci",
     "reconstruct_psi",
     "psi_on_grid",
+    "sine_projection",
     "von_mises_projection",
 ]
 
@@ -81,6 +82,14 @@ class SpectralParams:
     def fourier_orders(self) -> np.ndarray:
         return np.arange(-self.m, self.m + 1)
 
+    @functools.cached_property  # the point's solve and moments share it
+    def _bessel_column(self) -> np.ndarray:
+        """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that von_mises_projection slices."""
+        k = self.model.concentration
+        column = _scipy("special").ive(np.arange(self.m + 3), k / 2.0) / math.sqrt(_ive(0, k))
+        column.flags.writeable = False
+        return column
+
 
 @dataclass(frozen=True)
 class CoeffMatrix:
@@ -109,14 +118,6 @@ class CoeffMatrix:
         return reality, oddness
 
 
-@functools.lru_cache(maxsize=4)  # one point's solve and moments share it
-def _bessel_column(m: int, k: float) -> np.ndarray:
-    """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that von_mises_projection slices."""
-    column = _scipy("special").ive(np.arange(m + 3), k / 2.0) / math.sqrt(_ive(0, k))
-    column.flags.writeable = False
-    return column
-
-
 def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
     """The integrals of exp(i (j + q) theta) sqrt(M(theta) / 2 pi) over theta, j = -m..m, |q| <= 2.
 
@@ -124,23 +125,29 @@ def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
     exp(-x) I_n(x) so the exponentials cancel; every theta moment against M combines them.
     Past k = 2^31 ive(n, k/2) is NaN, and solve_gci names the non-finite right-hand side.
     """
-    column = _bessel_column(sp.m, sp.model.concentration)
-    return column[np.abs(sp.fourier_orders() + q)]
+    return sp._bessel_column[np.abs(sp.fourier_orders() + q)]
+
+
+def sine_projection(sp: SpectralParams, q: int) -> np.ndarray:
+    """<-sin(q theta), phi_j>_mu = i (h(-q) - h(q)) / 2 for j = -m..m, h(s) = von_mises_projection(sp, s).
+
+    At q = 1 they are B, the solve's right-hand side; <sin(q theta) psi>_mu is Re sum_j C_j^0 times them.
+    """
+    return 1j * (von_mises_projection(sp, -q) - von_mises_projection(sp, q)) / 2.0
 
 
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
-    """Basis coefficients of -sin(theta): nonzero only in the Hermite-degree-0 column.
-
-    B(j, 0) = i (I_{j-1}(k/2) - I_{j+1}(k/2)) / (2 sqrt(I0(k))) with k = lam^2/alpha^2.
-    """
-    b = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    b[:, 0] = 1j * (von_mises_projection(sp, -1) - von_mises_projection(sp, 1)) / 2.0
-    return b
+    """-sin(theta) on the real half grid: f_j^0 = -i B_j, j = 0..m, B = sine_projection(sp, 1)."""
+    f = np.zeros((sp.m + 1, sp.n_hermite))
+    f[:, 0] = sine_projection(sp, 1)[sp.m :].imag
+    return f
 
 
 @functools.lru_cache(maxsize=16)
-def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The model-free factors (W, P) of assemble_schur_band, whose lower band is (W @ c) @ P.
+def _structure(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The read-only model-free arrays of truncation (m, n): W and P, whose (W @ c) @ P is the
+    lower band of assemble_schur_band, then k = 0..n, sqrt(k), sqrt(k+1), j = 0..m as a column
+    (_half_operator) and phase_k (solve_gci).
 
     P[t] holds piece t in rows j + u, u = -2..2, of column j = 1..m (zero where j + u leaves
     1..m): (JD - DJ)/4, J^2, D^2, (JD + DJ)/4 and the identity.  W[s, e/2, t] is the
@@ -168,9 +175,12 @@ def _schur_structure(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     # rows in the next block take Q^2, with -(JD + DJ)/4
     weights[1, :, 1, 1] = weights[1, :, 2, 2] = -up
     weights[1, :, 3, 0] = up
-    for factor in (weights, pieces):
-        factor.flags.writeable = False
-    return weights, pieces.reshape(5, 5 * m)
+    k = np.arange(n + 1.0)
+    arrays = (weights, pieces.reshape(5, 5 * m), k, np.sqrt(k), np.sqrt(k + 1.0),
+              np.arange(m + 1.0)[:, None], np.where(np.arange(n + 1) % 2 == 0, 1j, 1.0))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
@@ -194,7 +204,7 @@ def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
     docstring), so only its lower band is written: -S[row, col] is ab[row - col, col].
     """
     m, n = sp.m, sp.n
-    weights, pieces = _schur_structure(m, n)
+    weights, pieces, *_ = _structure(m, n)
     c = -np.array([1.0, sp.model.pressure, sp.model.concentration / 16.0, sp.model.lam])
     coef = ((weights @ c) @ pieces).reshape(2, -1, m, 5)  # block, column e/2, column j, row u
     band = np.zeros((coef.shape[1], m, m + 3))  # column (j, e) is band[e/2, j-1]
@@ -206,27 +216,13 @@ def assemble_schur_band(sp: SpectralParams) -> np.ndarray:
     return band.reshape(-1, m + 3).T  # Fortran order: pbtrf takes it without a copy
 
 
-@functools.lru_cache(maxsize=16)
-def _half_structure(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """The read-only model-free vectors of _half_operator and solve_gci, built once per (m, n):
-    the Hermite degrees k = 0..n, sqrt(k), sqrt(k+1), the Fourier orders j = 0..m as a
-    column, and phase_k (solve_gci).
-    """
-    k = np.arange(n + 1.0)
-    vectors = (k, np.sqrt(k), np.sqrt(k + 1.0), np.arange(m + 1.0)[:, None],
-               np.where(np.arange(n + 1) % 2 == 0, 1j, 1.0))
-    for vector in vectors:
-        vector.flags.writeable = False
-    return vectors
-
-
 def _half_operator(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
     """L on the real, odd class, rows j = 0..m and k = 0..n, as written in assemble_schur_band.
 
     The even rows at j = 0 are 0: r_0^e = 0 is pinned, so they are not equations.
     """
     m, n, lam, alpha = sp.m, sp.n, sp.model.lam, sp.model.alpha
-    k, sqrt_k, sqrt_k1, j, _ = _half_structure(m, n)
+    _, _, k, sqrt_k, sqrt_k1, j, _ = _structure(m, n)
     padded = np.zeros((m + 1, n + 3))  # zero degrees -1 and n+1
     padded[:, 1:-1] = r
     lo, hi = sqrt_k * padded[:, :-2], sqrt_k1 * padded[:, 2:]
@@ -241,6 +237,11 @@ def _half_operator(r: np.ndarray, sp: SpectralParams) -> np.ndarray:
     return rows
 
 
+def _half_norm(a: np.ndarray) -> float:
+    """The l2 norm of the complex coefficients that the half grid a stands for: rows j >= 1 twice."""
+    return math.hypot(np.linalg.norm(a), np.linalg.norm(a[1:]))
+
+
 def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     """Solve the coefficient equation by one real banded Cholesky on the even Hermite degrees.
 
@@ -253,17 +254,17 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     back-substitution.  -S, S the even-degree Schur complement, is positive definite
     (module docstring), so it takes a Cholesky factor without pivoting.  The odd pivots
     are small against the coupling when lam is small and alpha large: at even n the first
-    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||L(X) - B|| / ||B||, on the
-    half grid with rows j >= 1 counted twice for C_{+-j}, exceeds SOLVE_RTOL the same factor
+    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||L(X) - B|| / ||B||, both
+    norms taken by _half_norm on the half grid, exceeds SOLVE_RTOL the same factor
     corrects X from that defect, at most REFINE_STEPS times.  After refinement a residual
     near 1e-12 is round-off: another evaluation of L(X) - B gives another value of that size,
     so it says the solve passed SOLVE_RTOL, not how large its error is.  Raises RuntimeError if the
     right-hand side is not finite (from lam^2/alpha^2 = 2^31), if -S is not positive
     definite, or if the residual is still above SOLVE_RTOL.
     """
-    b = assemble_rhs(sp)
-    b_norm = np.linalg.norm(b)
-    if not math.isfinite(b_norm):
+    f = assemble_rhs(sp)
+    f_norm = _half_norm(f)
+    if not math.isfinite(f_norm):
         k = sp.model.concentration
         raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
     m, n = sp.m, sp.n
@@ -271,12 +272,12 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
     factor, info = lapack.dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"Schur band is not positive definite (LAPACK pbtrf info {info})")
-    k, *_, phase = _half_structure(m, n)
+    _, _, k, *_, phase = _structure(m, n)
     lam_odd = sp.model.lam * k[1::2]
 
     def solve_half(f):  # _half_operator(r) = f
         f_odd, rhs = f[:, 1::2], f[1:, ::2]
-        if f_odd.any():  # f_e - A_eo A_oo^-1 f_o on j >= 1; B lives in degree 0
+        if f_odd.any():  # f_e - A_eo A_oo^-1 f_o on j >= 1; the right-hand side lives in degree 0
             g = np.zeros_like(f)
             g[:, 1::2] = f_odd / lam_odd
             rhs = (f + _half_operator(g, sp))[1:, ::2]
@@ -287,12 +288,11 @@ def solve_gci(sp: SpectralParams) -> CoeffMatrix:
         r[:, 1::2] = (_half_operator(r, sp)[:, 1::2] - f_odd) / lam_odd
         return r
 
-    f = (np.conj(phase) * b[m:]).real
     r, defect = np.zeros((m + 1, n + 1)), -f
     for refinements in range(REFINE_STEPS + 1):
         r = r - solve_half(defect)
         defect = _half_operator(r, sp) - f
-        residual = math.hypot(np.linalg.norm(defect), np.linalg.norm(defect[1:])) / b_norm
+        residual = _half_norm(defect) / f_norm
         if residual <= SOLVE_RTOL:  # also fails on NaN
             x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
             return CoeffMatrix(entries=x, residual=float(residual))

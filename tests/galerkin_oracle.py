@@ -1,12 +1,12 @@
-"""Reference routes for tests only: the Galerkin operator and the gamma moments.
+"""Reference routes for tests only: the complex Galerkin system and the gamma moments.
 
 stencil_galerkin_matrix scatters the 3x3 single-mode stencil of L over all
 basis pairs of the full complex system, with no matrix product, so it is
 independent of spectral._half_operator, which the solver applies to the real
 half grid of the solution's symmetry class; on that class the two must agree
-(stencil_on_class and half_grid_rows).  gamma_moments_trapezoid integrates
-the theta marginal on periodic nodes, independent of the Bessel projections
-of hydro.gamma_moments.
+(stencil_on_class and half_grid_rows), and complex_rhs is its right-hand
+side B.  gamma_moments_trapezoid integrates the theta marginal on periodic
+nodes, independent of the Bessel projections of hydro.gamma_moments.
 """
 
 import math
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ptwa.equilibrium import theta_nodes, von_mises_pdf
-from ptwa.spectral import CoeffMatrix, SpectralParams, _real
+from ptwa.spectral import CoeffMatrix, SpectralParams, _real, sine_projection
 
 
 def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
@@ -54,6 +54,13 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
                 if -m <= tj <= m and 0 <= tk <= n and coeff != 0:
                     a[flat(tj, tk), col] += coeff
     return a
+
+
+def complex_rhs(sp: SpectralParams) -> np.ndarray:
+    """B of the full complex system, (2m+1) x (n+1): sine_projection(sp, 1) in the Hermite-degree-0 column."""
+    b = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
+    b[:, 0] = sine_projection(sp, 1)
+    return b
 
 
 def class_member(r: np.ndarray) -> np.ndarray:

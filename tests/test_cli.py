@@ -22,6 +22,43 @@ def read_lines(path):
     return path.read_text().splitlines()
 
 
+def config_record(path) -> dict:
+    """The '# config:' line of a CSV as a dict; fails unless it is key=value items with unique keys."""
+    line = read_lines(path)[0]
+    assert line.startswith("# config: ")
+    items = [item.split("=") for item in line.removeprefix("# config: ").split(",")]
+    assert all(len(item) == 2 for item in items), line
+    assert len({key for key, _ in items}) == len(items), line
+    return dict(items)
+
+
+class TestConfigRecord:
+    # every setting flag, under its name (--lambda is lambda), lists joined by ';'
+    def test_gci(self, tmp_path):
+        argv = ["gci", "--lambda", "1.5", "-m", "6", "-n", "9", "--delta", "0.5"]
+        assert main([*argv, "--out", str(tmp_path / "g")]) == 0
+        want = {"lambda": "1.5", "alpha": "1.0", "m": "6", "n": "9", "delta": "0.5"}
+        assert config_record(tmp_path / "g_coeffs.csv") == want
+        psi = config_record(tmp_path / "g_psi.csv")
+        assert psi == {**want, "kappa_cutoff": str(kappa_cutoff(ModelParams(1.5, 1.0)))}
+
+    def test_residual(self, tmp_path):
+        argv = ["residual", "--lambda", "0.5,1", "--alpha", "1:2:0.5", "-m", "6", "-n", "9"]
+        assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+        assert config_record(tmp_path / "r.csv") == {
+            "lambda": "0.5;1.0", "alpha": "1.0;1.5;2.0", "m": "6", "n": "9", "delta": "0.2",
+            "check": "False"}
+
+    def test_coeffs_mc_check(self, tmp_path):
+        # mc_check=True alone could not reproduce the mc_c2 column
+        argv = ["coeffs", "--alpha-range", "0.8,1.2", "-m", "6", "-n", "9", "--mc-check",
+                "--mc-paths", "20", "--mc-tfinal", "10", "--mc-grid", "3"]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+        assert config_record(tmp_path / "c.csv") == {
+            "lambda": "1.0", "alpha": "0.8;1.2", "m": "6", "n": "9", "mc_check": "True",
+            "mc_paths": "20", "mc_dt": "0.005", "mc_tfinal": "10.0", "mc_grid": "3", "seed": "0"}
+
+
 class TestUsageErrors:
     def test_negative_lambda(self, capsys):
         assert main(["gci", "--lambda", "-1"]) == 1
@@ -476,6 +513,27 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("strde", 5), ("include_slef", False)])
+    def test_unknown_field_is_rejected(self, field, value, tmp_path, capsys):
+        # a misspelt optional key ran with the default it meant to change: stride 100 or
+        # include_self=True, while the record showed the misspelt key
+        out = tmp_path / "stats.csv"
+        cfg = self.write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bad config") and field in err[0]
+        assert not out.exists()
+
+    def test_record_holds_the_defaults_that_ran(self, tmp_path):
+        out = tmp_path / "stats.csv"
+        cfg = json.loads(self.write_config(tmp_path).read_text())
+        del cfg["stride"], cfg["include_self"]
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(out)]) == 0
+        record = config_record(out)
+        assert record["stride"] == "100" and record["include_self"] == "True"
+        assert len(read_lines(out)) == 2 + 1  # 40 steps: stride 100 keeps only the last
 
     def test_local_radius_run(self, tmp_path):
         # radius 1 in a box of 6 takes the cell-list neighbour search, not global coupling

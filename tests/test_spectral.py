@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from galerkin_oracle import (
+    class_member,
+    complex_rhs,
     half_grid_rows,
     stencil_galerkin_matrix,
     stencil_on_class,
@@ -15,7 +17,7 @@ from kinetic_oracle import constant_coefficients, mu_mean, mu_pdf
 from numpy.polynomial.hermite_e import hermeval
 
 from ptwa import spectral
-from ptwa.equilibrium import ModelParams, theta_nodes, von_mises_pdf
+from ptwa.equilibrium import ModelParams, _scipy, theta_nodes, von_mises_pdf
 from ptwa.grid import Grid2D, residual_inf
 from ptwa.hydro import compute_hydro_coeffs
 from ptwa.spectral import (
@@ -25,6 +27,7 @@ from ptwa.spectral import (
     assemble_rhs,
     psi_on_grid,
     reconstruct_psi,
+    sine_projection,
     solve_gci,
 )
 
@@ -58,7 +61,7 @@ def reduced_matrix(sp: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
 
 def least_norm_oracle(sp: SpectralParams) -> CoeffMatrix:
     """Min-norm least squares on the stencil matrix, then the constant projected out."""
-    b = assemble_rhs(sp).flatten(order="F")
+    b = complex_rhs(sp).flatten(order="F")
     vec, *_ = np.linalg.lstsq(stencil_galerkin_matrix(sp), b, rcond=None)
     ones = constant_coefficients(sp).flatten(order="F")
     vec -= np.vdot(ones, vec) / np.vdot(ones, ones) * ones
@@ -101,34 +104,38 @@ class TestSpectralParams:
 
 class TestAssembleRhs:
     def test_shape_and_sparsity(self):
-        b = assemble_rhs(SpectralParams(m=3, n=4, model=UNIT))
-        assert b.shape == (7, 5)
-        assert np.all(b[:, 1:] == 0.0)
+        # the real half grid j = 0..m, k = 0..n, nonzero only in the Hermite-degree-0 column
+        f = assemble_rhs(SpectralParams(m=3, n=4, model=UNIT))
+        assert f.shape == (4, 5) and f.dtype == np.float64
+        assert np.all(f[:, 1:] == 0.0)
 
     def test_center_vanishes(self):
         for model in (UNIT, ModelParams(2.0, 0.7)):
-            b = assemble_rhs(SpectralParams(m=2, n=2, model=model))
-            assert b[2, 0] == 0.0  # j = 0 row
+            assert assemble_rhs(SpectralParams(m=2, n=2, model=model))[0, 0] == 0.0  # j = 0
 
     def test_reference_value(self):
-        b = assemble_rhs(SpectralParams(m=2, n=2, model=UNIT))
-        assert b[3, 0] == pytest.approx(0.458399j, abs=1e-6)  # j = 1
+        f = assemble_rhs(SpectralParams(m=2, n=2, model=UNIT))
+        assert f[1, 0] == pytest.approx(0.458399, abs=1e-6)  # j = 1: -i B_1, B_1 = 0.458399 i
 
     def test_antisymmetry(self):
-        b = assemble_rhs(SpectralParams(m=4, n=3, model=ModelParams(1.7, 0.9)))
-        assert np.allclose(b[::-1, 0], -b[:, 0])
+        # I_{|j+q|} and I_{|j-q|} trade places under j -> -j
+        sp = SpectralParams(m=4, n=3, model=ModelParams(1.7, 0.9))
+        for q in (1, 2):
+            s = sine_projection(sp, q)
+            assert np.array_equal(s[::-1], -s)
 
     def test_matches_quadrature(self):
-        # B(j,0) is the basis coefficient of -sin(theta): <-sin, phi_j P_0>_mu
+        # sine_projection(sp, q)_j = <-sin(q theta), phi_j P_0>_mu, B at q = 1
         sp = SpectralParams(m=3, n=2, model=ModelParams(1.4, 0.8))
         th = theta_nodes(2048)
         w = 2 * math.pi / 2048
         m_pdf = von_mises_pdf(sp.model, th)
-        b = assemble_rhs(sp)
-        for row, j in enumerate(sp.fourier_orders()):
-            phi_j = np.exp(1j * j * th) / np.sqrt(2 * math.pi * m_pdf)
-            ref = np.sum(-np.sin(th) * np.conj(phi_j) * m_pdf) * w
-            assert b[row, 0] == pytest.approx(ref, abs=1e-10)
+        for q in (1, 2):
+            s = sine_projection(sp, q)
+            for row, j in enumerate(sp.fourier_orders()):
+                phi_j = np.exp(1j * j * th) / np.sqrt(2 * math.pi * m_pdf)
+                ref = np.sum(-np.sin(q * th) * np.conj(phi_j) * m_pdf) * w
+                assert s[row] == pytest.approx(ref, abs=1e-10)
 
 
 class TestAssemblyOracle:
@@ -183,7 +190,7 @@ class TestSolveGci:
         sp = SpectralParams(m=3, n=4, model=ModelParams(1.2, 0.9))
         x = solve_gci(sp)
         a = stencil_galerkin_matrix(sp)
-        b = assemble_rhs(sp).flatten(order="F")
+        b = complex_rhs(sp).flatten(order="F")
         vec = x.entries.flatten(order="F")
         assert np.linalg.norm(a @ vec - b) / np.linalg.norm(b) <= 1e-10
 
@@ -200,10 +207,42 @@ class TestSolveGci:
         monkeypatch.setattr(spectral, "SOLVE_RTOL", 1.0)
         sp = SpectralParams(m=m, n=n, model=ModelParams(lam, alpha))
         x = solve_gci(sp)
-        b = assemble_rhs(sp).flatten(order="F")
+        b = complex_rhs(sp).flatten(order="F")
         defect = stencil_galerkin_matrix(sp) @ x.entries.flatten(order="F") - b
         exact = np.linalg.norm(defect) / np.linalg.norm(b)
         assert abs(x.residual - exact) <= max(0.01 * exact, 1e-15)
+
+    def test_half_norm_is_the_norm_of_the_complex_coefficients(self):
+        # the right-hand side and the defect are measured on the half grid, where a row j >= 1
+        # stands for both C_j and C_-j
+        sp = SpectralParams(m=5, n=6, model=ModelParams(1.7, 0.9))
+        b = np.linalg.norm(complex_rhs(sp))
+        assert spectral._half_norm(assemble_rhs(sp)) == pytest.approx(b, rel=1e-15)
+        r = np.random.default_rng(3).standard_normal((sp.m + 1, sp.n_hermite))
+        r[0, ::2] = 0.0  # C_0^k = 0 for even k
+        c = np.linalg.norm(class_member(r))
+        assert spectral._half_norm(r) == pytest.approx(c, rel=1e-15)
+
+    def test_one_bessel_column_per_point(self, monkeypatch):
+        # the column lives on the SpectralParams: a point's solve and moments compute it once,
+        # and nothing is kept across points
+        special = _scipy("special")
+        ive, calls = special.ive, []
+
+        def counted(order, x):
+            if np.ndim(order):
+                calls.append(order)
+            return ive(order, x)
+
+        monkeypatch.setattr(special, "ive", counted)
+        sp = SpectralParams(m=6, n=13, model=ModelParams(1.3, 0.7))
+        x = solve_gci(sp)
+        compute_hydro_coeffs(x, sp)
+        assert len(calls) == 1
+        compute_hydro_coeffs(x, sp)
+        assert len(calls) == 1
+        compute_hydro_coeffs(x, SpectralParams(m=6, n=13, model=ModelParams(1.3, 0.7)))
+        assert len(calls) == 2
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_result_raises(self):
@@ -450,3 +489,15 @@ class TestReconstruction:
         w = mu_pdf(sp.model, th[:, None], ka[None, :])
         total = np.sum(psi * w) * (2 * math.pi / 256) * (ka[1] - ka[0])
         assert total == pytest.approx(0.0, abs=1e-6)
+
+
+def test_the_only_caches_are_model_free():
+    # one table per truncation (m, n) and one Fourier table per (grid, m); the Bessel column,
+    # which depends on lam^2/alpha^2, lives on its SpectralParams and not in a module cache
+    cached = {name for name, value in vars(spectral).items()
+              if hasattr(value, "cache_info") and value.__module__ == spectral.__name__}
+    assert cached == {"_structure", "_grid_fourier"}
+    sp = SpectralParams(m=4, n=7, model=UNIT)
+    table = spectral._structure(sp.m, sp.n)
+    assert spectral._structure(4, 7) is table and not any(a.flags.writeable for a in table)
+    assert not sp._bessel_column.flags.writeable
