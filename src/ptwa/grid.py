@@ -8,6 +8,7 @@ sup of |L(psi) + sin(theta)| over a sampled psi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,11 @@ __all__ = ["Grid2D", "GridField", "apply_L", "residual_inf"]
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Periodic x truncated grid: theta in [-pi, pi) with n_theta nodes, kappa on [kappa_min, kappa_max]."""
+    """Periodic x truncated grid: theta in [-pi, pi) with n_theta nodes, kappa on [kappa_min, kappa_max].
+
+    The node arrays theta and kappa are built on first use and cached, read-only, on the
+    grid; they hold nothing of the model, and equality and hashing see only the four fields.
+    """
 
     n_theta: int
     kappa_min: float
@@ -43,13 +48,13 @@ class Grid2D:
     def d_kappa(self) -> float:
         return (self.kappa_max - self.kappa_min) / (self.n_kappa - 1)
 
-    @property
+    @functools.cached_property
     def theta(self) -> np.ndarray:
-        return theta_nodes(self.n_theta)
+        return _read_only(theta_nodes(self.n_theta))
 
-    @property
+    @functools.cached_property
     def kappa(self) -> np.ndarray:
-        return np.linspace(self.kappa_min, self.kappa_max, self.n_kappa)
+        return _read_only(np.linspace(self.kappa_min, self.kappa_max, self.n_kappa))
 
     def meshgrid(self):
         """(theta, kappa) arrays of shape (n_theta, n_kappa)."""
@@ -61,6 +66,11 @@ class Grid2D:
         mask[:, 0] = False
         mask[:, -1] = False
         return mask
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)

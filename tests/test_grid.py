@@ -49,6 +49,16 @@ class TestGrid2D:
         assert g.theta[0] == pytest.approx(-math.pi)
         assert g.kappa[0] == -5.0 and g.kappa[-1] == 5.0
 
+    def test_nodes_are_built_once_and_read_only(self):
+        g = Grid2D(32, -5.0, 5.0, 51)
+        assert g.theta is g.theta and g.kappa is g.kappa
+        for nodes in (g.theta, g.kappa):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 0.0
+        # equal grids share the Fourier cache of psi_on_grid, which they key
+        fresh = Grid2D(32, -5.0, 5.0, 51)
+        assert fresh == g and hash(fresh) == hash(g)
+
     def test_rejects_coarse(self):
         with pytest.raises(ValueError):
             Grid2D(4, -5.0, 5.0, 51)

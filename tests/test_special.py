@@ -9,6 +9,22 @@ from hypothesis import strategies as st
 
 from ptwa.special import hermite_p_row
 
+#: (lam, alpha) pairs across the criterion-3 corners and the map's extremes
+MODELS = [(1.0, 1.0), (2.0, 0.5), (0.2, 5.0), (5.0, 0.2), (0.5, 2.0), (3.0, 0.5)]
+
+
+def loop_hermite_p_row(n_max, lam, alpha, kappa):
+    """hermite_p_row as a Python loop over the degrees, one vectorised recurrence step each."""
+    kappa = np.asarray(kappa, dtype=float)
+    x = math.sqrt(lam) / alpha * kappa
+    out = np.empty(kappa.shape + (n_max + 1,))
+    out[..., 0] = 1.0
+    if n_max >= 1:
+        out[..., 1] = x
+    for k in range(1, n_max):
+        out[..., k + 1] = (x * out[..., k] - math.sqrt(k) * out[..., k - 1]) / math.sqrt(k + 1)
+    return out
+
 
 class TestHermiteP:
     def test_base_cases(self):
@@ -57,3 +73,41 @@ class TestHermiteP:
         d2 = (plus - 2 * p + minus) / h**2
         # roundoff in the h^2 divided difference dominates: ~eps * |P| / h^2
         assert -lam * kappa * d1 + alpha**2 * d2 == pytest.approx(-lam * n * p, rel=1e-5, abs=1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 25, 61, 121, 241])
+    @pytest.mark.parametrize("lam,alpha", MODELS)
+    def test_matches_the_per_degree_loop(self, n, lam, alpha):
+        # the band solve may fuse a multiply-subtract the loop rounds twice; nothing more moves
+        sigma = alpha / math.sqrt(lam)
+        for kappa in (np.linspace(-5.0, 5.0, 51), np.linspace(-12.0 * sigma, 12.0 * sigma, 101)):
+            want = loop_hermite_p_row(n, lam, alpha, kappa)
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(hermite_p_row(n, lam, alpha, kappa) - want) <= 1e-13 * scale)
+
+    def test_a_row_does_not_depend_on_the_other_kappa(self):
+        kappa = np.linspace(-5.0, 5.0, 51)
+        table = hermite_p_row(61, 2.0, 0.5, kappa)
+        for i in (0, 17, 50):
+            assert hermite_p_row(61, 2.0, 0.5, kappa[i]).tobytes() == table[i].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_shape_contract(self, n):
+        assert hermite_p_row(n, 1.0, 1.0, 0.3).shape == (n + 1,)
+        assert hermite_p_row(n, 1.0, 1.0, np.full((2, 3), 0.3)).shape == (2, 3, n + 1)
+        assert hermite_p_row(n, 1.0, 1.0, np.array([])).shape == (0, n + 1)
+        want = loop_hermite_p_row(n, 1.0, 1.0, [0.3, -0.4])
+        np.testing.assert_allclose(hermite_p_row(n, 1.0, 1.0, [0.3, -0.4]), want, rtol=0.0, atol=1e-15)
+
+    def test_non_finite_kappa_raises(self):
+        # the zero band entries between kappa blocks times inf are NaN: kappa = 1 would read NaN
+        with pytest.raises(FloatingPointError, match="^reconstruction is not finite.*kappa = inf"):
+            hermite_p_row(3, 1.0, 1.0, [math.inf, math.nan, 1.0])
+        with pytest.raises(FloatingPointError, match="^reconstruction is not finite.*kappa = nan"):
+            hermite_p_row(3, 1.0, 1.0, [1.0, math.nan])
+
+    def test_overflowing_row_raises(self):
+        # x^241 / sqrt(241!) passes 1e308 near |x| = 180; without kappa = 200 every row is finite
+        kappa = np.array([1.0, 200.0, 3.0])
+        assert np.all(np.isfinite(hermite_p_row(241, 1.0, 1.0, kappa[[0, 2]])))
+        with pytest.raises(FloatingPointError, match="^reconstruction is not finite.*kappa = 200"):
+            hermite_p_row(241, 1.0, 1.0, kappa)
