@@ -17,10 +17,16 @@ codes: 0 success, 1 usage, config or file error, 2 numerical failure.  Set
 ``PTWA_NUM_THREADS`` to cap the BLAS thread pool (``ptwa/__init__.py`` applies
 it before the numerical libraries start their threads).
 
+This module only turns text into values and exceptions into exit codes.  Each
+range rule on a setting lives in the type that runs it (``ModelParams``,
+``SpectralParams``, ``OracleConfig``, ``mc_c2``, ``SimConfig``), and the
+``ValueError`` it raises is exit 1.  ``gci``, ``residual`` and ``coeffs`` build
+the ``SpectralParams`` of every point before they open a file, so a bad value
+anywhere in a list exits 1 before any file opens or any solve runs.
+
 scipy loads on first use, not at start-up: ``gci``, ``residual`` and
 ``coeffs`` load ``scipy.special`` and ``scipy.linalg`` with their first solve.
-``simulate`` runs and writes its snapshots without scipy; only its closing
-line, the equilibrium c1, loads ``scipy.special``.
+``simulate`` runs without scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .grid import Grid2D, residual_inf
 from .hydro import compute_hydro_coeffs
 from .montecarlo import OracleConfig, mc_c2
 from .particles import SimConfig, collect_stats, run_simulation
-from .spectral import CoeffMatrix, SpectralParams, psi_on_grid, solve_gci
+from .spectral import SpectralParams, psi_on_grid, solve_gci
 
 __all__ = ["main"]
 
@@ -52,29 +58,6 @@ MAX_RANGE_VALUES = 10**6
 #: the most nodes a --delta grid may have; each array over it takes 8 bytes a node
 MAX_GRID_NODES = 10**6
 TAIL_LINE = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}"
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1 (argparse default is 2)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
 
 
 def _value_list(text: str) -> list[float]:
@@ -102,16 +85,17 @@ def _value_list(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p]
     if not values:
         raise argparse.ArgumentTypeError(f"empty value list: {text!r}")
-    if not all(0.0 < v < math.inf for v in values):
-        raise argparse.ArgumentTypeError(f"all values must be positive and finite: {text!r}")
     return values
 
 
 def _residual_grid(delta: float) -> Grid2D:
     """[-pi, pi) x [-5, 5] with spacing as close to delta as the topology allows.
 
-    Raises ValueError, a usage error, for more than MAX_GRID_NODES nodes.
+    Raises ValueError, a usage error, unless delta is positive and finite with 2 pi/delta
+    finite, or for more than MAX_GRID_NODES nodes.
     """
+    if not (0.0 < delta < math.inf and 2.0 * math.pi / delta < math.inf):
+        raise ValueError(f"--delta must be positive and finite, and 2 pi/delta finite, got {delta}")
     n_theta = max(8, int(round(2.0 * math.pi / delta)))
     n_kappa = max(8, int(round(10.0 / delta)) + 1)
     if n_theta * n_kappa > MAX_GRID_NODES:
@@ -183,17 +167,13 @@ def _integer(raw: dict, key: str, default=None) -> int:
     return int(value)
 
 
-def _solve(lam: float, alpha: float, m: int, n: int) -> tuple[CoeffMatrix, SpectralParams]:
-    sp = SpectralParams(m=m, n=n, model=ModelParams(lam=lam, alpha=alpha))
-    return solve_gci(sp), sp
-
-
 def cmd_gci(args) -> int:
     grid = _residual_grid(args.delta)
+    sp = SpectralParams(m=args.m, n=args.n, model=ModelParams(lam=args.lam, alpha=args.alpha))
     coeff_path = f"{args.out}_coeffs.csv"
     psi_path = f"{args.out}_psi.csv"
     with _open_outputs(coeff_path, psi_path) as (coeff_fh, psi_fh):
-        x, sp = _solve(args.lam, args.alpha, args.m, args.n)
+        x = solve_gci(sp)
         field = psi_on_grid(x, sp, grid)
         config = _flag_config(args)
         coeff_rows = [[j - sp.m, k, c.real, c.imag] for (j, k), c in np.ndenumerate(x.entries)]
@@ -211,12 +191,11 @@ def cmd_gci(args) -> int:
 
 def cmd_residual(args) -> int:
     grid = _residual_grid(args.delta)
+    points = [SpectralParams(m=args.m, n=args.n, model=ModelParams(lam=lam, alpha=alpha))
+              for lam in args.lam for alpha in args.alpha]
     with _open_outputs(args.out) as (fh,):
-        rows = []
-        for lam in args.lam:
-            for alpha in args.alpha:
-                x, sp = _solve(lam, alpha, args.m, args.n)
-                rows.append([lam, alpha, residual_inf(psi_on_grid(x, sp, grid), sp.model)])
+        rows = [[sp.model.lam, sp.model.alpha,
+                 residual_inf(psi_on_grid(solve_gci(sp), sp, grid), sp.model)] for sp in points]
         _write_csv(fh, "lambda,alpha,residual_inf", rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.check:
@@ -238,9 +217,9 @@ def cmd_residual(args) -> int:
     return EXIT_OK
 
 
-def _coeffs_row(args, alpha: float) -> list:
+def _coeffs_row(args, sp: SpectralParams) -> list:
     """One `coeffs` row; a failed Monte-Carlo check or solve gives NaN columns, noted on stderr."""
-    model = ModelParams(lam=args.lam, alpha=alpha)
+    model, alpha = sp.model, sp.model.alpha
     mc_cols = []
     if args.mc_check:  # run first, so a bad Monte-Carlo setting fails before any solve
         cfg = OracleConfig(model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
@@ -252,7 +231,7 @@ def _coeffs_row(args, alpha: float) -> list:
             mc_cols = [math.nan, math.nan]
     row = [args.lam, alpha, c1_coefficient(model)]
     try:
-        x, sp = _solve(args.lam, alpha, args.m, args.n)
+        x = solve_gci(sp)
         print(f"alpha={alpha}: " + TAIL_LINE.format(*x.tail_norms()))
         h = compute_hydro_coeffs(x, sp)
         row += [h.c2, h.gamma1, h.gamma2, h.d]
@@ -266,36 +245,26 @@ def cmd_coeffs(args) -> int:
     header = "lambda,alpha,c1,c2,gamma1,gamma2,d"
     if args.mc_check:
         header += ",mc_c2,mc_stderr"
+    points = [SpectralParams(m=args.m, n=args.n, model=ModelParams(lam=args.lam, alpha=alpha))
+              for alpha in args.alpha]
     with _open_outputs(args.out) as (fh,):
-        rows = [_coeffs_row(args, alpha) for alpha in args.alpha]
+        rows = [_coeffs_row(args, sp) for sp in points]
         _write_csv(fh, header, rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    required = {"n_agents", "box", "radius", "lambda", "alpha", "dt", "t_final", "seed"}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(raw, dict):
-        print(f"bad config: {args.config} must hold a JSON object", file=sys.stderr)
-        return EXIT_USAGE
-    required = {"n_agents", "box", "radius", "lambda", "alpha", "dt", "t_final", "seed"}
-    missing = required - raw.keys()
-    if missing:
-        print(f"config missing fields: {sorted(missing)}", file=sys.stderr)
-        return EXIT_USAGE
-    unknown = raw.keys() - required - {"stride", "include_self"}
-    if unknown:  # a misspelt optional key would otherwise run with its default
-        print(f"bad config: unknown fields {sorted(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
-    include_self = raw.get("include_self", True)
-    try:
-        if not isinstance(include_self, bool):
-            raise ValueError(f"include_self must be true or false, got {include_self!r}")
+        if not isinstance(raw, dict):
+            raise ValueError("it must hold a JSON object")
+        missing = required - raw.keys()
+        unknown = raw.keys() - required - {"stride", "include_self"}
+        if missing or unknown:  # a misspelt optional key would otherwise run with its default
+            raise ValueError(f"missing fields {sorted(missing)}, unknown fields {sorted(unknown)}")
         cfg = SimConfig(
             n_agents=_integer(raw, "n_agents"),
             box_size=float(raw["box"]),
@@ -303,12 +272,12 @@ def cmd_simulate(args) -> int:
             model=ModelParams(lam=float(raw["lambda"]), alpha=float(raw["alpha"])),
             dt=float(raw["dt"]),
             seed=_integer(raw, "seed"),
-            include_self=include_self,
+            include_self=raw.get("include_self", True),
         )
         stride = _integer(raw, "stride", 100)
         snapshots = run_simulation(cfg, float(raw["t_final"]), stride)
-    except (ValueError, TypeError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
+    except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
+        print(f"bad config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     with _open_outputs(args.out, *([args.traj] if args.traj else [])) as handles:
@@ -321,7 +290,7 @@ def cmd_simulate(args) -> int:
             if args.traj:
                 x, theta, kappa = agents.x, agents.theta, agents.kappa
                 traj_rows += ([t, i, *x[i], theta[i], kappa[i]] for i in range(len(agents)))
-        config = {**raw, "stride": stride, "include_self": include_self}
+        config = {**raw, "stride": stride, "include_self": cfg.include_self}
         header = "t,order_parameter,mean_direction,curvature_variance"
         _write_csv(handles[0], header, stats_rows, config)
         if args.traj:
@@ -329,8 +298,8 @@ def cmd_simulate(args) -> int:
     print(f"wrote {args.out} ({len(stats_rows)} rows)")
     if args.traj:
         print(f"wrote {args.traj} ({len(traj_rows)} rows)")
-    c1 = c1_coefficient(cfg.model)  # stats holds the last snapshot, taken at the final step
-    print(f"final order parameter: {stats.order_parameter:.6f} (equilibrium c1 = {c1:.6f})")
+    # stats holds the last snapshot, taken at the final step
+    print(f"final order parameter: {stats.order_parameter:.6f}")
     print(
         f"final curvature variance: {stats.curvature_variance:.6f} "
         f"(equilibrium alpha^2/lambda = {cfg.model.kappa_variance:.6f})"
@@ -339,22 +308,22 @@ def cmd_simulate(args) -> int:
 
 
 def _add_truncation_flags(parser) -> None:
-    parser.add_argument("-m", type=_positive_int, default=30,
+    parser.add_argument("-m", type=int, default=30,
                         help="Fourier half-width of the truncation")
-    parser.add_argument("-n", type=_positive_int, default=61,
+    parser.add_argument("-n", type=int, default=61,
                         help="Hermite degree of the truncation")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ptwa", description=__doc__.split("\n", 1)[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ptwa", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gci", help="solve the generalized collisional invariant")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0,
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="relaxation rate (positive)")
-    p.add_argument("--alpha", type=_positive, default=1.0, help="noise intensity (positive)")
+    p.add_argument("--alpha", type=float, default=1.0, help="noise intensity (positive)")
     _add_truncation_flags(p)
-    p.add_argument("--delta", type=_positive, default=0.2, help="grid spacing for the psi dump")
+    p.add_argument("--delta", type=float, default=0.2, help="grid spacing for the psi dump")
     p.add_argument("--out", default="gci", help="output prefix (<out>_coeffs.csv, <out>_psi.csv)")
     p.set_defaults(func=cmd_gci)
 
@@ -364,23 +333,23 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=_value_list, default=[0.5, 1.0, 2.0],
                    help="comma list or start:stop:step range of alpha values")
     _add_truncation_flags(p)
-    p.add_argument("--delta", type=_positive, default=0.2, help="finite-difference spacing")
+    p.add_argument("--delta", type=float, default=0.2, help="finite-difference spacing")
     p.add_argument("--check", action="store_true",
                    help="exit 2 unless the residual increases with lambda and decreases with alpha")
     p.add_argument("--out", default="residual.csv")
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("coeffs", help="macroscopic coefficients over an alpha sweep")
-    p.add_argument("--lambda", dest="lam", type=_positive, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--alpha-range", dest="alpha", type=_value_list, required=True,
                    help="start:stop:step range (or comma list) of alpha values")
     _add_truncation_flags(p)
     p.add_argument("--mc-check", action="store_true",
                    help="append Monte-Carlo c2 and its standard error to each row")
-    p.add_argument("--mc-paths", type=_positive_int, default=20000)
-    p.add_argument("--mc-dt", type=_positive, default=5e-3)
-    p.add_argument("--mc-tfinal", type=_positive, default=40.0)
-    p.add_argument("--mc-grid", type=_positive_int, default=16,
+    p.add_argument("--mc-paths", type=int, default=20000)
+    p.add_argument("--mc-dt", type=float, default=5e-3)
+    p.add_argument("--mc-tfinal", type=float, default=40.0)
+    p.add_argument("--mc-grid", type=int, default=16,
                    help="quadrature nodes per axis for the Monte-Carlo moments")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="coeffs.csv")
@@ -398,8 +367,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (RuntimeError, ArithmeticError) as exc:

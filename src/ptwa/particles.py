@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError("box_size and radius must be positive and finite")
         if not 0 < self.dt <= 0.1 / max(1.0, self.model.lam):
             raise ValueError(f"dt must satisfy 0 < dt <= 0.1/max(1, lam), got {self.dt}")
+        if not isinstance(self.include_self, bool):  # bool("false") and bool(1) are True
+            raise ValueError(f"include_self must be true or false, got {self.include_self!r}")
         seeded_stream(self.seed, 0)  # rejects a seed the Philox key cannot hold
 
     @property

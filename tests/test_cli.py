@@ -60,6 +60,33 @@ class TestConfigRecord:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["gci", "-m", "0"], ["gci", "-n", "0"], ["gci", "--delta", "0"],
+         ["gci", "--delta", "5e-324"], ["residual", "--lambda", "1,-1"],
+         ["coeffs", "--alpha-range", "0.5,nan"],
+         ["coeffs", "--alpha-range", "1", "--mc-check", "--mc-paths", "1"],
+         ["coeffs", "--alpha-range", "1", "--mc-check", "--mc-dt", "1"],
+         ["coeffs", "--alpha-range", "1", "--mc-check", "--mc-grid", "4"],
+         ["residual", "--lambda", "1", "--alpha", "1e-200"], ["gci", "--lambda", "1e-200"]],
+        ids=" ".join,
+    )
+    def test_setting_error_exits_before_any_solve(self, argv, tmp_path, capsys, monkeypatch):
+        # the rule lives in the type that runs the setting; the CLI only maps its ValueError
+        solved = []
+        monkeypatch.setattr("ptwa.cli.solve_gci", solved.append)
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
+        assert solved == [] and list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ptwa")
+
+    def test_flag_that_does_not_parse_is_a_usage_error(self, capsys):
+        assert main(["gci", "-m", "1.5"]) == 1
+        assert "invalid int value: '1.5'" in capsys.readouterr().err
+
     def test_negative_lambda(self, capsys):
         assert main(["gci", "--lambda", "-1"]) == 1
 
@@ -534,6 +561,21 @@ class TestSimulate:
         record = config_record(out)
         assert record["stride"] == "100" and record["include_self"] == "True"
         assert len(read_lines(out)) == 2 + 1  # 40 steps: stride 100 keeps only the last
+
+    def test_underflowing_noise_square_runs(self, tmp_path, capsys):
+        # the particle scheme never divides by alpha^2; the closing line's c1 did and exited 2
+        out = tmp_path / "stats.csv"
+        cfg = self.write_config(tmp_path, alpha=1e-200)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "(equilibrium alpha^2/lambda = 0.000000)" in capsys.readouterr().out
+        assert len(read_lines(out)) == 2 + 4
+
+    def test_closing_lines(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("final order parameter: ") and "c1" not in lines[-2]
+        assert lines[-1].startswith("final curvature variance: ")
 
     def test_local_radius_run(self, tmp_path):
         # radius 1 in a box of 6 takes the cell-list neighbour search, not global coupling

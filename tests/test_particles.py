@@ -178,6 +178,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="integer"):
             config(n_agents=n_agents)
 
+    @pytest.mark.parametrize("include_self", ["false", None, 0, 1])
+    def test_include_self_must_be_a_bool(self, include_self):
+        # bool() would run "false" and 1 with the agent itself counted, None and 0 without
+        with pytest.raises(ValueError, match="include_self"):
+            config(include_self=include_self)
+
     def test_numpy_integer_agent_count(self):
         cfg = config(n_agents=np.int64(12))
         expected = initial_state(config(n_agents=12))

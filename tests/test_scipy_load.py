@@ -8,10 +8,11 @@ from pathlib import Path
 
 import ptwa
 
-#: imports every ptwa module, runs one particle step and one Monte-Carlo probe, then one solve,
-#: and prints which scipy submodules were loaded before and after the solve
+#: imports every ptwa module, runs one particle step, one Monte-Carlo probe and one
+#: `ptwa simulate`, then one solve, and prints which scipy submodules were loaded before and
+#: after the solve
 NO_SCIPY_PROBE = """
-import importlib, json, pkgutil, sys, warnings
+import importlib, json, os, pkgutil, sys, tempfile, warnings
 import ptwa, ptwa.cli
 for info in pkgutil.iter_modules(ptwa.__path__):
     importlib.import_module("ptwa." + info.name)
@@ -29,6 +30,14 @@ oracle = montecarlo.OracleConfig(model=unit, dt=5e-3, t_final=10.0, paths=64, se
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)
     montecarlo.feynman_kac_psi(oracle, 1.0, 0.0)
+with tempfile.TemporaryDirectory() as tmp:
+    sim = {"n_agents": 20, "box": 5.0, "radius": 1.0, "lambda": 1.0, "alpha": 1.0, "dt": 0.05,
+           "t_final": 1.0, "seed": 3, "stride": 5}
+    config = os.path.join(tmp, "sim.json")
+    with open(config, "w") as fh:
+        json.dump(sim, fh)
+    argv = ["simulate", "--config", config, "--out", os.path.join(tmp, "stats.csv")]
+    assert ptwa.cli.main(argv) == 0
 out["simulated"] = loaded()
 from ptwa.hydro import compute_hydro_coeffs
 from ptwa.spectral import SpectralParams, solve_gci

@@ -97,6 +97,12 @@ class TestSpectralParams:
         with pytest.raises(ValueError, match="integer"):
             SpectralParams(m, n, UNIT)
 
+    @pytest.mark.parametrize("lam, alpha", [(1e-200, 1.0), (1.0, 1e-200)])
+    def test_rejects_a_square_that_underflows(self, lam, alpha):
+        # the solve divided by the 0.0 square and failed with "float division by zero"
+        with pytest.raises(ValueError, match="underflow"):
+            SpectralParams(3, 5, ModelParams(lam, alpha))
+
     def test_numpy_integers_are_counts(self):
         x = solve_gci(SpectralParams(np.int64(3), np.uint8(5), UNIT))
         assert np.array_equal(x.entries, solve_gci(SpectralParams(3, 5, UNIT)).entries)
