@@ -21,8 +21,10 @@ This module only turns text into values and exceptions into exit codes.  Each
 range rule on a setting lives in the type that runs it (``ModelParams``,
 ``SpectralParams``, ``OracleConfig``, ``mc_c2``, ``SimConfig``), and the
 ``ValueError`` it raises is exit 1.  ``gci``, ``residual`` and ``coeffs`` build
-the ``SpectralParams`` of every point before they open a file, so a bad value
-anywhere in a list exits 1 before any file opens or any solve runs.
+the ``SpectralParams`` and, with ``--mc-check``, the ``OracleConfig`` of every
+point before they open a file, so a bad value anywhere in a list exits 1 before
+any file opens or any solve runs.  Only ``--mc-grid`` waits for ``mc_c2`` at the
+first point, after the output opens and before any path or solve.
 
 scipy loads on first use, not at start-up: ``gci``, ``residual`` and
 ``coeffs`` load ``scipy.special`` and ``scipy.linalg`` with their first solve.
@@ -109,29 +111,24 @@ def _residual_grid(delta: float) -> Grid2D:
 def _open_outputs(*paths: str):
     """Open every output before any solve or step, so an unwritable path fails at once.
 
-    A file is emptied only when _write_csv writes it.  If the run fails, the files opened
-    here that did not exist before are removed and the others keep their old content.  Two
-    handles on one file would overwrite each other's rows, so the paths must differ.
+    A file is emptied only when _write_csv writes it.  If the run fails or is interrupted,
+    the files close, those that did not exist before are removed and the others keep their
+    old content.  Two handles on one file would overwrite each other's rows, so the paths
+    must differ.
     """
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValueError("every output must be a different file")
-    handles, created = [], []
-    try:
+    with contextlib.ExitStack() as created, contextlib.ExitStack() as files:
         for path in paths:
             if not os.path.exists(path):
-                created.append(path)
-            handles.append(open(path, "a", encoding="utf-8"))
-        yield handles
-    except BaseException:
-        for fh in handles:
-            fh.close()
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-    finally:
-        for fh in handles:
-            fh.close()
+                created.callback(_remove_quietly, path)
+        yield [files.enter_context(open(path, "a", encoding="utf-8")) for path in paths]
+        created.pop_all()  # the run succeeded: keep the files it created
+
+
+def _remove_quietly(path: str) -> None:
+    with contextlib.suppress(OSError):  # an open that failed created nothing
+        os.remove(path)
 
 
 def _write_csv(fh, header: str, rows, config: dict) -> None:
@@ -198,31 +195,24 @@ def cmd_residual(args) -> int:
                  residual_inf(psi_on_grid(solve_gci(sp), sp, grid), sp.model)] for sp in points]
         _write_csv(fh, "lambda,alpha,residual_inf", rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
-    if args.check:
-        table = {(r[0], r[1]): r[2] for r in rows}
-        ok = True
-        for alpha in args.alpha:
-            line = [table[(lam, alpha)] for lam in args.lam]
-            if not all(a < b for a, b in zip(line, line[1:])):
-                print(f"check failed: residual not increasing in lambda at alpha={alpha}")
-                ok = False
-        for lam in args.lam:
-            line = [table[(lam, a)] for a in args.alpha]
-            if not all(a > b for a, b in zip(line, line[1:])):
-                print(f"check failed: residual not decreasing in alpha at lambda={lam}")
-                ok = False
-        if not ok:
+    if args.check:  # one row of res per lambda, one column per alpha
+        res = np.reshape([row[2] for row in rows], (len(args.lam), len(args.alpha)))
+        failed = [f"check failed: residual not increasing in lambda at alpha={alpha}"
+                  for alpha, line in zip(args.alpha, res.T) if not np.all(line[:-1] < line[1:])]
+        failed += [f"check failed: residual not decreasing in alpha at lambda={lam}"
+                   for lam, line in zip(args.lam, res) if not np.all(line[:-1] > line[1:])]
+        if failed:
+            print(*failed, sep="\n")
             return EXIT_NUMERICAL
         print("check passed: residual increases with lambda and decreases with alpha")
     return EXIT_OK
 
 
-def _coeffs_row(args, sp: SpectralParams) -> list:
+def _coeffs_row(args, sp: SpectralParams, cfg: OracleConfig | None) -> list:
     """One `coeffs` row; a failed Monte-Carlo check or solve gives NaN columns, noted on stderr."""
     model, alpha = sp.model, sp.model.alpha
     mc_cols = []
-    if args.mc_check:  # run first, so a bad Monte-Carlo setting fails before any solve
-        cfg = OracleConfig(model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
+    if cfg is not None:  # run first, so a bad --mc-grid fails before any solve
         try:
             mc = mc_c2(cfg, n_grid_theta=args.mc_grid, n_grid_kappa=args.mc_grid)
             mc_cols = [mc.c2, mc.std_error]
@@ -247,8 +237,10 @@ def cmd_coeffs(args) -> int:
         header += ",mc_c2,mc_stderr"
     points = [SpectralParams(m=args.m, n=args.n, model=ModelParams(lam=args.lam, alpha=alpha))
               for alpha in args.alpha]
+    oracles = [OracleConfig(sp.model, args.mc_dt, args.mc_tfinal, args.mc_paths, args.seed)
+               if args.mc_check else None for sp in points]
     with _open_outputs(args.out) as (fh,):
-        rows = [_coeffs_row(args, sp) for sp in points]
+        rows = [_coeffs_row(args, sp, cfg) for sp, cfg in zip(points, oracles)]
         _write_csv(fh, header, rows, _flag_config(args))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK

@@ -60,10 +60,16 @@ class ModelParams:
         if not (0 < self.lam < math.inf and 0 < self.alpha < math.inf):
             raise ValueError(f"lam and alpha must be positive and finite, got {self.lam}, {self.alpha}")
 
+    def _ratio_of_squares(self, num: float, den: float) -> float:
+        """num^2/den^2; ValueError if den^2 underflows, a model only the particle scheme can run."""
+        if den**2 == 0.0:
+            raise ValueError(f"lam^2 and alpha^2 must not underflow to 0, got {self.lam}, {self.alpha}")
+        return num**2 / den**2
+
     @property
     def concentration(self) -> float:
         """Von Mises concentration lambda^2/alpha^2."""
-        return self.lam**2 / self.alpha**2
+        return self._ratio_of_squares(self.lam, self.alpha)
 
     @property
     def kappa_variance(self) -> float:
@@ -73,7 +79,7 @@ class ModelParams:
     @property
     def pressure(self) -> float:
         """Pressure coefficient d = alpha^2/lambda^2 of the hydrodynamic limit."""
-        return self.alpha**2 / self.lam**2
+        return self._ratio_of_squares(self.alpha, self.lam)
 
 
 @functools.cache

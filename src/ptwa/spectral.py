@@ -66,9 +66,7 @@ class SpectralParams:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        lam, alpha = self.model.lam, self.model.alpha  # the solve divides by lam^2 and alpha^2
-        if lam**2 == 0.0 or alpha**2 == 0.0:
-            raise ValueError(f"lam^2 and alpha^2 must not underflow to 0, got {lam}, {alpha}")
+        self.model.concentration, self.model.pressure  # ValueError if lam^2 or alpha^2 underflows
 
     @property
     def n_fourier(self) -> int:

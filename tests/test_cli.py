@@ -102,6 +102,13 @@ class TestUsageErrors:
     def test_non_numeric_range(self):
         assert main(["residual", "--lambda", "a:b:c"]) == 1
 
+    @pytest.mark.parametrize("text", ["1:2:0", "2:1:-0.5"])
+    def test_range_step_must_be_positive(self, text, capsys):
+        with pytest.raises(argparse.ArgumentTypeError, match="range step must be positive"):
+            _value_list(text)
+        assert main(["residual", "--lambda", text]) == 1
+        assert "range step must be positive" in capsys.readouterr().err
+
     def test_range_of_more_than_a_million_values(self, capsys):
         # the values were listed before any check, 10^15 of them for the second range
         with pytest.raises(argparse.ArgumentTypeError, match="has 1000001 values"):
@@ -141,6 +148,30 @@ class TestUsageErrors:
             argv = ["coeffs", *flags, "-m", "4", "-n", "9", "--out", str(tmp_path / "c.csv")]
             assert main(argv) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--mc-paths", "1"], "paths"), (["--mc-dt", "1"], "dt"), (["--mc-tfinal", "1"], "t_final"),
+         (["--seed", "-1"], "seed")],
+        ids=["mc-paths", "mc-dt", "mc-tfinal", "seed"],
+    )
+    def test_monte_carlo_setting_is_checked_before_the_output_opens(
+        self, flags, field, tmp_path, capsys, monkeypatch
+    ):
+        # the Monte-Carlo settings were checked at the first point, after the output opened,
+        # so a path in a missing directory was reported in place of the bad setting
+        called = []
+        monkeypatch.setattr("ptwa.cli.solve_gci", called.append)
+        monkeypatch.setattr("ptwa.cli.mc_c2", lambda *args, **kwargs: called.append(args))
+        argv = ["coeffs", "--alpha-range", "1", "-m", "4", "-n", "9", "--mc-check", *flags]
+        assert main([*argv, "--out", str(tmp_path / "missing" / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and field in err
+        existing = tmp_path / "c.csv"
+        existing.write_bytes(b"# earlier run\nlambda\n1.0\n")
+        assert main([*argv, "--out", str(existing)]) == 1
+        assert existing.read_bytes() == b"# earlier run\nlambda\n1.0\n"
+        assert called == [] and list(tmp_path.iterdir()) == [existing]
 
     @pytest.mark.parametrize(
         "command",
@@ -211,6 +242,16 @@ class TestGci:
         assert main(["gci", "--lambda", "5", "--alpha", "0.2", "--out", str(tmp_path / "run")]) == 2
         assert (tmp_path / "run_coeffs.csv").read_text() == "earlier run\n"
         assert not (tmp_path / "run_psi.csv").exists()
+
+    def test_interrupt_removes_the_files_it_created(self, tmp_path, monkeypatch):
+        # an interrupt is a BaseException, not an Exception; the outputs are cleaned up all the same
+        def interrupt(sp):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("ptwa.cli.solve_gci", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["gci", "-m", "4", "-n", "9", "--out", str(tmp_path / "run")])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["gci", "residual"])
     def test_non_real_psi_exits_numerical(self, command, tmp_path, capsys):
@@ -283,6 +324,15 @@ class TestResidual:
         )
         assert code == 2
         assert "residual not increasing in lambda" in capsys.readouterr().out
+
+    def test_check_fails_when_alpha_runs_backwards(self, tmp_path, capsys):
+        code = main(
+            ["residual", "--lambda", "1", "--alpha", "1,0.5", "-m", "12", "-n", "25", "--check",
+             "--out", str(tmp_path / "res.csv")]
+        )
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["check failed: residual not decreasing in alpha at lambda=1.0"]
 
 
 class TestCoeffs:
@@ -399,6 +449,20 @@ class TestCoeffs:
         code = main(["coeffs", "--alpha-range", "1", "--mc-check", "--mc-dt", "0.5",
                      "--out", str(tmp_path / "bad.csv")])
         assert code == 1
+
+    def test_failed_mc_check_writes_nan_columns(self, tmp_path, capsys, monkeypatch):
+        def vanished(cfg, n_grid_theta, n_grid_kappa):
+            raise ZeroDivisionError("Monte-Carlo gamma1 vanished; cannot form c2")
+
+        monkeypatch.setattr("ptwa.cli.mc_c2", vanished)
+        out = tmp_path / "c.csv"
+        code = main(["coeffs", "--alpha-range", "1", "-m", "4", "-n", "9", "--mc-check",
+                     "--mc-paths", "4", "--mc-tfinal", "10", "--mc-grid", "3", "--out", str(out)])
+        assert code == 0
+        assert "alpha=1.0: MC check failed (Monte-Carlo gamma1 vanished" in capsys.readouterr().err
+        *spectral_cols, c2_mc, se_mc = (float(v) for v in read_lines(out)[2].split(","))
+        assert math.isnan(c2_mc) and math.isnan(se_mc)
+        assert all(math.isfinite(v) for v in spectral_cols)
 
     @pytest.mark.parametrize("grid", ["1", "2", "4"])
     def test_mc_grid_without_sin_cos_nodes_is_a_config_error(

@@ -43,6 +43,19 @@ class TestModelParams:
         assert p.kappa_variance == pytest.approx(0.125)
         assert p.pressure == pytest.approx(0.0625)
 
+    @pytest.mark.parametrize(
+        "ratio, lam, alpha",
+        [(lambda p: p.concentration, 1.0, 1e-200), (c1_coefficient, 1.0, 1e-200),
+         (lambda p: von_mises_pdf(p, 0.0), 1.0, 1e-200), (lambda p: p.pressure, 1e-200, 1.0)],
+        ids=["concentration", "c1_coefficient", "von_mises_pdf", "pressure"],
+    )
+    def test_a_ratio_whose_divisor_square_underflows_raises(self, ratio, lam, alpha):
+        # each raised ZeroDivisionError; the model itself stays valid for the particle scheme
+        p = ModelParams(lam, alpha)
+        assert p.kappa_variance == alpha**2 / lam
+        with pytest.raises(ValueError, match="underflow"):
+            ratio(p)
+
 
 class TestWrapAngle:
     def test_range(self):

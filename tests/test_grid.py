@@ -86,6 +86,15 @@ class TestGrid2D:
         assert np.array_equal(g.theta, Grid2D(32, -5.0, 5.0, 51).theta)
         assert g.interior_mask().shape == (32, 51)
 
+    def test_field_must_match_the_grid_and_be_finite(self):
+        g = Grid2D(16, -5.0, 5.0, 11)
+        with pytest.raises(ValueError, match="does not match grid"):
+            GridField(g, np.zeros((11, 16)))
+        values = np.zeros((16, 11))
+        values[3, 4] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            GridField(g, values)
+
     def test_interior_mask(self):
         g = Grid2D(16, -5.0, 5.0, 11)
         mask = g.interior_mask()

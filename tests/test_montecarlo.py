@@ -276,6 +276,25 @@ class TestMcC2:
         with pytest.raises(ValueError, match="positive integers"):
             mc_c2(quick_cfg(paths=10), n_grid_theta=n_grid_theta, n_grid_kappa=n_grid_kappa)
 
+    def test_underflowing_noise_square_is_a_value_error(self, monkeypatch):
+        # the Von Mises weights divided by alpha^2 = 0.0 and raised ZeroDivisionError
+        def no_paths(*args, **kwargs):
+            raise AssertionError("feynman_kac_psi ran")
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", no_paths)
+        cfg = OracleConfig(model=ModelParams(1.0, 1e-200), dt=5e-3, t_final=10.0, paths=4, seed=0)
+        with pytest.raises(ValueError, match="underflow"):
+            mc_c2(cfg, n_grid_theta=3, n_grid_kappa=3)
+
+    def test_vanishing_gamma1_raises(self, monkeypatch):
+        # psi = 0 at every node leaves nothing to divide gamma2 by
+        def zero_psi(cfg, theta0, kappa0, stream_offset=0):
+            return {"estimate": 0.0, "std_error": 0.01}
+
+        monkeypatch.setattr(montecarlo, "feynman_kac_psi", zero_psi)
+        with pytest.raises(ZeroDivisionError, match="gamma1 vanished"):
+            mc_c2(quick_cfg(paths=10), n_grid_theta=3, n_grid_kappa=3)
+
     def test_numpy_integer_grid_sizes(self, monkeypatch):
         def fake_psi(cfg, theta0, kappa0, stream_offset=0):
             return {"estimate": math.sin(theta0) + kappa0, "std_error": 0.01}

@@ -415,6 +415,18 @@ class TestStep:
         assert order_a == [collect_stats(s).order_parameter for _, s in snapshots_b]
 
 
+class TestAgents:
+    @pytest.mark.parametrize(
+        "x, theta, kappa",
+        [(np.zeros((3, 2)), np.zeros(3), np.zeros(2)), (np.zeros((3, 3)), np.zeros(3), np.zeros(3)),
+         (np.zeros((2, 2)), np.zeros(3), np.zeros(3))],
+        ids=["kappa", "x columns", "x rows"],
+    )
+    def test_rejects_inconsistent_shapes(self, x, theta, kappa):
+        with pytest.raises(ValueError, match="inconsistent agent array shapes"):
+            Agents(x=x, theta=theta, kappa=kappa)
+
+
 class TestCollectStats:
     def test_perfect_alignment(self):
         agents = make_agents([[1, 1], [2, 2], [3, 3]], [0.4, 0.4, 0.4], [0, 0, 0])

@@ -256,6 +256,20 @@ class TestSolveGci:
         with pytest.raises(RuntimeError, match="right-hand side is not finite"):
             solve_gci(SpectralParams(4, 7, ModelParams(1e154, 1e-3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_first_residual_stops_refinement(self, monkeypatch):
+        # a diagonal of 5e-324 factors, but its solve overflows: no correction can mend that
+        band = spectral.assemble_schur_band
+
+        def subnormal_band(sp):
+            tiny = np.zeros_like(band(sp))
+            tiny[0] = 5e-324  # the diagonal, in lower band storage
+            return tiny
+
+        monkeypatch.setattr(spectral, "assemble_schur_band", subnormal_band)
+        with pytest.raises(RuntimeError, match="residual (nan|inf) .* after 0 refinement steps"):
+            solve_gci(SpectralParams(4, 7, UNIT))
+
     def test_right_hand_side_past_two_to_the_30(self):
         # ive(0, k) is NaN from k = 2^30; the i0e fallback keeps the right-hand side finite
         sp = SpectralParams(6, 13, ModelParams(40000.0, 1.0))  # k = 1.6e9
