@@ -63,7 +63,7 @@ TAIL_LINE = "spectral tail: |j|=m shells {:.6e}, k=n column {:.6e}"
 
 
 def _value_list(text: str) -> list[float]:
-    """Parse '0.5,1,2' or 'start:stop:step' into an ordered list of values.
+    """Parse '0.5,1,2' or 'start:stop:step' into an ordered list of distinct values.
 
     A range is stepped in exact decimal arithmetic on the flag text, so
     0.4:1.0:0.2 gives 0.4, 0.6, 0.8, 1.0 and not 0.6000000000000001.
@@ -87,6 +87,8 @@ def _value_list(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p]
     if not values:
         raise argparse.ArgumentTypeError(f"empty value list: {text!r}")
+    if len(set(values)) < len(values):  # a repeated point would be solved and written twice
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
 
 

@@ -35,10 +35,13 @@ J_TOL = 1e-12
 CELL_SLACK = 1e-9
 #: candidate pairs listed at once; bounds the pair pass's memory at any density.  Each of
 #: a block's 8-byte pair arrays is 512 kB, near a 2 MB per-core L2 cache; 2**18 made a
-#: step 1.4-1.5x slower at N = 5000 to 5e4 (5 agents per unit area, r = 1)
+#: step 1.3-1.5x slower at N = 2e4 and 5e4 (5 agents per unit area, r = 1)
 PAIR_BLOCK = 2**16
 #: histogram bins for the relative-angle diagnostic
 HIST_BINS = 36
+#: their edges over [-pi, pi], the array np.histogram(rel, HIST_BINS, (-pi, pi)) builds
+EDGES = np.linspace(-math.pi, math.pi, HIST_BINS + 1)
+EDGES.flags.writeable = False
 #: stream index reserved for drawing the initial condition
 INIT_STREAM = 2**62
 
@@ -106,54 +109,58 @@ def _min_image(dx: np.ndarray, box: float) -> np.ndarray:
 def _neighbour_flux(x: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray, radius: float, box: float):
     """Sums of cos_t[j] and sin_t[j] over the agents j within radius of each agent i, i included.
 
-    One pass over all pairs: the agents are binned into square cells wider than
-    the radius by CELL_SLACK * box, so every neighbour of an agent lies in its
-    own cell or one of the eight around it despite round-off in the cell index
-    and the distance.  Below three cells per side some of the nine offsets
-    coincide and are searched once; one cell per side is the all-pairs search.
-    The agents are sorted by cell, stably, and each occupied cell looks up the
-    range of sorted positions of each of its neighbour cells once.  An agent's
-    candidates are its cell's ranges in sorted offset order, so by offset and
-    then by agent index; they are listed with np.repeat, kept when their
-    minimum-image distance is below the radius, and summed per agent in that
-    order with bincount, for blocks of agents with about PAIR_BLOCK candidates
-    at a time.  Memory is O(N + PAIR_BLOCK) at any radius.
+    The agents are binned into square cells wider than the radius by
+    CELL_SLACK * box, so every neighbour lies in an agent's own cell or one of
+    the eight around it despite round-off, and sorted by cell, stably.  Each
+    agent lists the later agents of its own cell, then those of the forward
+    cells (0, 1), (1, -1), (1, 0), (1, 1) mod n_cells, so each unordered pair is
+    listed once; below three cells per side these offsets coincide, and the box
+    is one cell.  A pair is kept when its minimum-image distance, which is
+    exactly antisymmetric, is below the radius.  Each sum starts from the
+    agent's own term; np.add.at then adds the kept pairs in listing order, j's
+    term to i's sum and then i's to j's, for blocks of agents with about
+    PAIR_BLOCK candidates at a time.  So memory is O(N + PAIR_BLOCK) at any
+    radius, and the sums do not depend on the block size.
     """
     n = len(x)
-    n_cells = max(1, int(box / (radius + CELL_SLACK * box)))
+    n_cells = int(box / (radius + CELL_SLACK * box))
+    n_cells = n_cells if n_cells >= 3 else 1
     cell = np.floor(x / box * n_cells).astype(np.int64) % n_cells
     key = cell[:, 0] * n_cells + cell[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # positions and headings in sorted order, as contiguous vectors
-    px, py, pc, ps = x[order, 0], x[order, 1], cos_t[order], sin_t[order]
+    # positions in sorted order, as contiguous vectors
+    px, py = x[order, 0], x[order, 1]
     # occupied cells: first sorted position, agent count, and each agent's cell rank
     first = np.flatnonzero(np.diff(key, prepend=-1))
     size = np.diff(first, append=n)
     rank = np.repeat(np.arange(len(first)), size)
     occupied = key[first]
-    shift = np.array(sorted({(a % n_cells, b % n_cells) for a in (-1, 0, 1) for b in (-1, 0, 1)}))
-    # one row per occupied cell, one column per cell offset
+    shift = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])[: 4 if n_cells > 1 else 0]
+    # one row per occupied cell, one column per forward cell
     cx, cy = occupied[:, None] // n_cells, occupied[:, None] % n_cells
     other = (cx + shift[:, 0]) % n_cells * n_cells + (cy + shift[:, 1]) % n_cells
     found = np.minimum(np.searchsorted(occupied, other), len(first) - 1)
-    lo = first[found]
     count = np.where(occupied[found] == other, size[found], 0)
-    per_agent = count.sum(axis=1)[rank]
+    # per agent: the first sorted position and length of each listed range
+    pos = np.arange(n)
+    lo = np.column_stack([pos + 1, first[found][rank]])
+    count = np.column_stack([first[rank] + size[rank] - pos - 1, count[rank]])
+    per_agent = count.sum(axis=1)
     block = (np.cumsum(per_agent) - per_agent) // PAIR_BLOCK
     edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [n]])
-    jx, jy = np.empty(n), np.empty(n)
+    jx, jy = cos_t.copy(), sin_t.copy()
     for a, b in zip(edges[:-1], edges[1:]):
-        c = count[rank[a:b]].ravel()
-        j = np.arange(c.sum()) + np.repeat(lo[rank[a:b]].ravel() - (np.cumsum(c) - c), c)
-        reps = per_agent[a:b]
-        dx = _min_image(px[j] - np.repeat(px[a:b], reps), box)
-        dy = _min_image(py[j] - np.repeat(py[a:b], reps), box)
+        c = count[a:b].ravel()
+        j = np.arange(c.sum()) + np.repeat(lo[a:b].ravel() - (np.cumsum(c) - c), c)
+        i = np.repeat(pos[a:b], per_agent[a:b])
+        dx, dy = _min_image(px[j] - px[i], box), _min_image(py[j] - py[i], box)
         keep = np.flatnonzero(dx * dx + dy * dy < radius**2)
-        del dx, dy  # two fewer pair-sized arrays alive while the next block is listed
-        i, j = np.repeat(np.arange(b - a), reps)[keep], j[keep]
-        jx[order[a:b]] = np.bincount(i, pc[j], b - a)
-        jy[order[a:b]] = np.bincount(i, ps[j], b - a)
+        del dx, dy  # two fewer pair-sized arrays alive while the pairs are scattered
+        i, j = order[i[keep]], order[j[keep]]
+        into, source = np.column_stack([i, j]).ravel(), np.column_stack([j, i]).ravel()
+        np.add.at(jx, into, cos_t[source])
+        np.add.at(jy, into, sin_t[source])
     return jx, jy
 
 
@@ -208,13 +215,14 @@ def collect_stats(agents: Agents) -> SimStats:
     jy = float(np.mean(np.sin(agents.theta)))
     mean_dir = math.atan2(jy, jx)
     rel = wrap_angle(agents.theta - mean_dir)
-    angle_hist, angle_edges = np.histogram(rel, bins=HIST_BINS, range=(-math.pi, math.pi))
+    # np.histogram's counts: bin k holds EDGES[k] <= rel < EDGES[k + 1], the last bin also pi
+    bins = np.minimum(np.searchsorted(EDGES, rel, "right") - 1, HIST_BINS - 1)
     return SimStats(
         order_parameter=math.hypot(jx, jy),
         mean_direction=mean_dir,
         curvature_variance=float(np.var(agents.kappa)),
-        relative_angle_histogram=angle_hist,
-        relative_angle_edges=angle_edges,
+        relative_angle_histogram=np.bincount(bins, minlength=HIST_BINS),
+        relative_angle_edges=EDGES.copy(),
     )
 
 

@@ -116,6 +116,21 @@ class TestUsageErrors:
         assert main(["residual", "--lambda", "1:1e15:1"]) == 1
         assert "has 1000000000000000 values, more than 1000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["residual", "--lambda", "1,1,2", "--alpha", "1,2", "-m", "12", "-n", "25", "--check"],
+         ["coeffs", "--alpha-range", "1,1"]],
+        ids=" ".join,
+    )
+    def test_repeated_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        # the residual check wrote 6 rows and failed its trend on the repeated lambda;
+        # coeffs wrote two identical rows
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"repeated value in '{argv[2]}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(argparse.ArgumentTypeError, match="repeated value"):
+            _value_list("0.5,1,1.0")
+
     @pytest.mark.parametrize("command", [["gci"], ["residual", "--lambda", "1", "--alpha", "1"]])
     def test_grid_of_more_than_a_million_nodes(self, command, tmp_path, capsys, monkeypatch):
         # delta 0.0005 asked for 2.5e8 nodes and died in numpy after the solve

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwa import particles
-from ptwa.equilibrium import ModelParams
+from ptwa.equilibrium import ModelParams, wrap_angle
 from ptwa.particles import (
     CELL_SLACK,
+    HIST_BINS,
     J_TOL,
     Agents,
     SimConfig,
@@ -66,23 +67,27 @@ def pair_pass_adjacency(x, radius, box):
 def loop_flux(x, cos_t, sin_t, radius, box):
     """Per-agent sums of cos_t[j] and sin_t[j], added one at a time in the pair pass's order.
 
-    For each agent: the cell offsets in sorted (a mod n, b mod n) order, then
-    the agents of that cell by index, each added if within radius.
+    Each sum starts from the agent's own term.  The agents are taken in a stable
+    sort by cell; each lists the later agents of its own cell, then by index the
+    agents of the forward cells (0, 1), (1, -1), (1, 0), (1, 1), none below
+    three cells per side.  Each listed pair within radius adds j's term to i's
+    sum, then i's term to j's.
     """
     n_cells = cells_per_side(box, radius)
     cell = np.floor(x / box * n_cells).astype(np.int64) % n_cells
-    offsets = sorted({(a % n_cells, b % n_cells) for a in (-1, 0, 1) for b in (-1, 0, 1)})
-    jx, jy = np.zeros(len(x)), np.zeros(len(x))
-    for i in range(len(x)):
-        sx = sy = 0.0
-        for a, b in offsets:
-            target = (cell[i] + (a, b)) % n_cells
-            for j in np.flatnonzero(np.all(cell == target, axis=1)):
-                d = _min_image(x[j] - x[i], box)
-                if d[0] * d[0] + d[1] * d[1] < radius**2:
-                    sx += cos_t[j]
-                    sy += sin_t[j]
-        jx[i], jy[i] = sx, sy
+    forward = [(0, 1), (1, -1), (1, 0), (1, 1)] if n_cells > 1 else []
+    jx, jy = cos_t.copy(), sin_t.copy()
+    for i in np.argsort(cell[:, 0] * n_cells + cell[:, 1], kind="stable"):
+        listed = [j for j in np.flatnonzero(np.all(cell == cell[i], axis=1)) if j > i]
+        for a, b in forward:
+            listed += list(np.flatnonzero(np.all(cell == (cell[i] + (a, b)) % n_cells, axis=1)))
+        for j in listed:
+            d = _min_image(x[j] - x[i], box)
+            if d[0] * d[0] + d[1] * d[1] < radius**2:
+                jx[i] += cos_t[j]
+                jy[i] += sin_t[j]
+                jx[j] += cos_t[i]
+                jy[j] += sin_t[i]
     return jx, jy
 
 
@@ -107,7 +112,9 @@ def loop_kappa_bar(agents, cfg):
 
 
 def cells_per_side(box, radius):
-    return max(1, int(box / (radius + CELL_SLACK * box)))
+    """Cells per side of the pair pass: below three, one cell holds the whole box."""
+    n_cells = int(box / (radius + CELL_SLACK * box))
+    return n_cells if n_cells >= 3 else 1
 
 
 def assert_kappa_bar_matches_loop(agents, cfg):
@@ -131,7 +138,7 @@ def swarms(draw):
     box = draw(st.sampled_from([1.0, 3.0, 10.0]))
     radius = draw(
         st.one_of(
-            # 1, 2, 3, 4 and 9-10 cells per side, box/radius exact or not
+            # box/radius below 3 (one cell), 3, 4 and 9-10 cells per side, exact or not
             st.sampled_from([box / 1.5, box / 2.5, box / 3.5, box / 4.5, box / 4, box / 10]),
             st.sampled_from([np.nextafter(box / 2, 0.0), box / 2, np.nextafter(box / 2, box)]),
             st.floats(box / 12, 0.75 * box),
@@ -222,7 +229,7 @@ class TestNeighborSearch:
                 assert_kappa_bar_matches_loop(
                     agents, config(n_agents=150, radius=radius, include_self=include_self)
                 )
-        assert n_cells == {1, 2, 3, 4, 9, 19}
+        assert n_cells == {1, 3, 4, 9, 19}
 
     def test_pairs_one_radius_from_cell_edges(self):
         # every edge k*box/n of a box/radius = n grid, and the float below it,
@@ -273,7 +280,7 @@ class TestNeighborSearch:
                     m.setattr(particles, "PAIR_BLOCK", block)
                     jx, jy = _neighbour_flux(x, cos_t, sin_t, radius, 10.0)
                 assert np.array_equal(jx, ref[0]) and np.array_equal(jy, ref[1]), (radius, block)
-        assert n_cells == {1, 2, 3, 4, 9}
+        assert n_cells == {1, 3, 4, 9}
 
     def test_tiny_radius_needs_memory_linear_in_agents(self):
         # about 1e7 cells per side: a table over all n_cells**2 cells would need 8e14 B
@@ -289,6 +296,19 @@ class TestNeighborSearch:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 < cells_per_side(box, radius) ** 2 * 8
+
+    def test_large_radius_needs_memory_linear_in_agents(self):
+        # about 1.3e6 unordered pairs: two int64 index arrays over all of them would need 20 MB
+        n, box, radius = 3000, 10.0, 3.0
+        x = np.random.default_rng(13).uniform(0.0, box, size=(n, 2))
+        tracemalloc.start()
+        try:
+            counts = _neighbour_flux(x, np.ones(n), np.zeros(n), radius, box)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.2e6 < (counts.sum() - n) / 2 < 1.4e6
+        assert peak < 128 * (n + particles.PAIR_BLOCK)
 
     @given(swarms())
     @settings(max_examples=150, deadline=None)
@@ -445,6 +465,24 @@ class TestCollectStats:
         s = collect_stats(agents)
         assert s.relative_angle_histogram.sum() == 100
         assert len(s.relative_angle_edges) == len(s.relative_angle_histogram) + 1
+
+    def test_histogram_is_numpy_histogram(self):
+        # random headings, then every edge, the floats on both sides of it, and +-pi
+        theta = np.random.default_rng(14).uniform(-4.0, 4.0, 2000)
+        agents = make_agents(np.zeros((2000, 2)), wrap_angle(theta), np.zeros(2000))
+        s = collect_stats(agents)
+        rel = wrap_angle(agents.theta - s.mean_direction)
+        counts, edges = np.histogram(rel, HIST_BINS, (-math.pi, math.pi))
+        assert np.array_equal(s.relative_angle_histogram, counts)
+        assert np.array_equal(s.relative_angle_edges, edges)
+        rel = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        rel = np.append(rel[np.abs(rel) <= math.pi], [-math.pi, math.pi])
+        with pytest.MonkeyPatch.context() as m:  # collect_stats bins these values as they are
+            m.setattr(particles, "wrap_angle", lambda _: rel)
+            s = collect_stats(make_agents(np.zeros((len(rel), 2)), rel, np.zeros(len(rel))))
+        counts = np.histogram(rel, HIST_BINS, (-math.pi, math.pi))[0]
+        assert np.array_equal(s.relative_angle_histogram, counts) and counts.sum() == len(rel)
+        assert not np.shares_memory(s.relative_angle_edges, particles.EDGES)  # the caller's copy
 
 
 class TestRunSimulation:
