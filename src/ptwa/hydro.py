@@ -4,7 +4,8 @@ The limit system transports the density at speed c1 and the direction field at
 speed c2 = gamma2/gamma1, where gamma1 = <sin(theta) psi>_mu and
 gamma2 = <sin(theta) cos(theta) psi>_mu are moments of the collisional
 invariant, and carries a pressure coefficient d = alpha^2/lambda^2.  Both
-moments are exact Bessel projections of psi's Hermite-degree-0 column.
+moments are exact Bessel projections of psi's Hermite-degree-0 column
+(spectral.sine_moment); the energy identity gives gamma1 a second way.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _is_integer, c1_coefficient, theta_nodes
-from .spectral import CoeffMatrix, SpectralParams, sine_projection
+from .spectral import CoeffMatrix, SpectralParams, sine_moment
 
 __all__ = [
     "HydroCoeffs",
@@ -49,28 +50,22 @@ class HydroCoeffs:
             raise ValueError("gamma1 must be nonzero")
 
 
-def _sine_moment(x: CoeffMatrix, sp: SpectralParams, q: int) -> float:
-    """<sin(q theta) psi>_mu = Re sum_j C_j^0 sine_projection(sp, q)_j."""
-    return float(np.real(np.sum(x.entries[:, 0] * sine_projection(sp, q))))
-
-
 def gamma_moments(x: CoeffMatrix, sp: SpectralParams) -> dict:
-    """gamma1 = <sin psi>_mu and gamma2 = <sin cos psi>_mu = <sin(2 theta) psi>_mu / 2, exactly.
-
-    Only the Hermite-degree-0 column survives the kappa integral, and
-    phi_j sqrt(M) = exp(i j theta)/sqrt(2 pi), so each moment is that column
-    against a Bessel column (spectral.sine_projection); there is no theta quadrature.
-    """
-    gamma1 = _sine_moment(x, sp, 1)
-    gamma2 = _sine_moment(x, sp, 2) / 2.0
+    """gamma1 = <sin psi>_mu and gamma2 = <sin cos psi>_mu = sine_moment(x, sp, 2) / 2, exactly."""
+    gamma1 = sine_moment(x, sp, 1)
+    gamma2 = sine_moment(x, sp, 2) / 2.0
     if abs(gamma1) < GAMMA1_MIN:
         raise ArithmeticError(f"degenerate moment: |gamma1| = {abs(gamma1):.3e} < {GAMMA1_MIN}")
     return {"gamma1": gamma1, "gamma2": gamma2}
 
 
 def gamma_moments_spectral(x: CoeffMatrix, sp: SpectralParams) -> float:
-    """gamma1 without the degeneracy check; the same projection as gamma_moments."""
-    return _sine_moment(x, sp, 1)
+    """gamma1 by the energy identity, lam sum_jk k |C_j^k|^2, up to the solve residual.
+
+    -gamma1 = <psi, -sin>_mu = <psi, L psi>_mu, where only L's Ornstein-Uhlenbeck part, -lam k
+    on degree k, counts; so it reads every Hermite degree, and gamma_moments degree 0 alone.
+    """
+    return sp.model.lam * float(np.sum(np.arange(sp.n_hermite) * np.abs(x.entries) ** 2))
 
 
 def compute_hydro_coeffs(x: CoeffMatrix, sp: SpectralParams) -> HydroCoeffs:

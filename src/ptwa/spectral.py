@@ -18,7 +18,8 @@ degrees, S = -lam E - A_eo (lam O)^-1 W A_eo^T with E and O the diagonals of the
 and odd degrees, is symmetric negative definite: one banded Cholesky factor of -S
 (LAPACK pbtrf, kd = m+2, the lower band only) solves it on m ceil((n+1)/2) unknowns,
 the odd degrees follow by back-substitution, and the same factor refines the result
-where the small odd pivots spoil it.
+where the small odd pivots spoil it, for any right-hand side of the class (_factored).
+-sin(theta) and the moments <sin(q theta) psi>_mu are real there too (sine_projection).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "reconstruct_psi",
     "psi_on_grid",
     "sine_projection",
-    "von_mises_projection",
+    "sine_moment",
 ]
 
 #: relative algebraic residual ||L(X) - B|| / ||B|| required of the solve
@@ -85,7 +86,7 @@ class SpectralParams:
 
     @functools.cached_property  # the point's solve and moments share it
     def _bessel_column(self) -> np.ndarray:
-        """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that von_mises_projection slices."""
+        """The read-only column ive(0..m+2, k/2) / sqrt(ive(0, k)) that sine_projection slices."""
         k = self.model.concentration
         column = _scipy("special").ive(np.arange(self.m + 3), k / 2.0) / math.sqrt(_ive(0, k))
         column.flags.writeable = False
@@ -119,29 +120,29 @@ class CoeffMatrix:
         return reality, oddness
 
 
-def von_mises_projection(sp: SpectralParams, q: int) -> np.ndarray:
-    """The integrals of exp(i (j + q) theta) sqrt(M(theta) / 2 pi) over theta, j = -m..m, |q| <= 2.
-
-    Each is I_{|j+q|}(k/2) / sqrt(I0(k)), k = lam^2/alpha^2, in the scaled form ive(n, x) =
-    exp(-x) I_n(x) so the exponentials cancel; every theta moment against M combines them.
-    Past k = 2^31 ive(n, k/2) is NaN, and solve_gci names the non-finite right-hand side.
-    """
-    return sp._bessel_column[np.abs(sp.fourier_orders() + q)]
-
-
 def sine_projection(sp: SpectralParams, q: int) -> np.ndarray:
-    """<-sin(q theta), phi_j>_mu = i (h(-q) - h(q)) / 2 for j = -m..m, h(s) = von_mises_projection(sp, s).
+    """<-sin(q theta), phi_j>_mu = i t_j, t_j = (b_|j-q| - b_(j+q))/2 on the half grid j = 0..m.
 
-    At q = 1 they are B, the solve's right-hand side; <sin(q theta) psi>_mu is Re sum_j C_j^0 times them.
+    b = sp._bessel_column holds the integrals of exp(i s theta) sqrt(M(theta) / 2 pi); t is odd
+    in j, and q is 0, 1 or 2.  Past k = 2^31 ive(n, k/2) is NaN, and the solve names it.
     """
-    return 1j * (von_mises_projection(sp, -q) - von_mises_projection(sp, q)) / 2.0
+    b, j = sp._bessel_column, np.arange(sp.m + 1)
+    return (b[np.abs(j - q)] - b[j + q]) / 2.0
 
 
 def assemble_rhs(sp: SpectralParams) -> np.ndarray:
-    """-sin(theta) on the real half grid: f_j^0 = -i B_j, j = 0..m, B = sine_projection(sp, 1)."""
+    """-sin(theta) on the real half grid: sine_projection(sp, 1) in the Hermite-degree-0 column."""
     f = np.zeros((sp.m + 1, sp.n_hermite))
-    f[:, 0] = sine_projection(sp, 1)[sp.m :].imag
+    f[:, 0] = sine_projection(sp, 1)
     return f
+
+
+def sine_moment(x: CoeffMatrix, sp: SpectralParams, q: int) -> float:
+    """<sin(q theta) psi>_mu = -2 sum_{j >= 1} r_j^0 t_j, t = sine_projection(sp, q), exactly.
+
+    Only degree 0 survives the kappa integral; there C_{+-j}^0 = +-i r_j^0 with r_j^0 = Im C_j^0.
+    """
+    return -2.0 * float(x.entries[sp.m + 1 :, 0].imag @ sine_projection(sp, q)[1:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -243,66 +244,68 @@ def _half_norm(a: np.ndarray) -> float:
     return math.hypot(np.linalg.norm(a), np.linalg.norm(a[1:]))
 
 
-def solve_gci(sp: SpectralParams) -> CoeffMatrix:
-    """Solve the coefficient equation by one real banded Cholesky on the even Hermite degrees.
+def _factored(sp: SpectralParams):
+    """Factor -S once; return solve(f) -> (r, residual), the half grid r with _half_operator(r) = f.
 
-    The truncated constant, even under (theta, kappa) -> (-theta, -kappa), is a
-    near-kernel of the full operator (reciprocal condition about 1e-38 at (30, 61)).  psi is
-    odd, and on its real, odd class C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k
-    (phase_k = i for even k, 1 for odd k) the system is well conditioned and reality,
-    oddness and <psi>_mu = 0 hold exactly.  Its odd-degree rows have diagonal -lam k, so
-    the odd unknowns are eliminated exactly and follow from the even ones by
-    back-substitution.  -S, S the even-degree Schur complement, is positive definite
-    (module docstring), so it takes a Cholesky factor without pivoting.  The odd pivots
-    are small against the coupling when lam is small and alpha large: at even n the first
-    residual reaches 3e-6 at lam = 0.01, alpha = 100.  So while ||L(X) - B|| / ||B||, both
-    norms taken by _half_norm on the half grid, exceeds SOLVE_RTOL the same factor
-    corrects X from that defect, at most REFINE_STEPS times.  After refinement a residual
-    near 1e-12 is round-off: another evaluation of L(X) - B gives another value of that size,
-    so it says the solve passed SOLVE_RTOL, not how large its error is.  Raises RuntimeError if the
-    right-hand side is not finite (from lam^2/alpha^2 = 2^31), if -S is not positive
-    definite, or if the residual is still above SOLVE_RTOL.
+    f is a right-hand side of psi's class on the half grid, rows j = 0..m and columns k = 0..n,
+    with f[0, ::2] = 0: those rows are not equations, since r_0^e = 0 is pinned.  The odd
+    pivots -lam k are small against the coupling when lam is small and alpha large (at even n
+    the first residual reaches 3e-6 at lam = 0.01, alpha = 100), so while ||L(r) - f|| / ||f||,
+    both taken by _half_norm, exceeds SOLVE_RTOL the same factor corrects r from that defect,
+    at most REFINE_STEPS times (CoeffMatrix says what the residual means).  Raises RuntimeError
+    if -S is not positive definite, and solve raises it if f is not finite or the residual
+    stays above SOLVE_RTOL.
     """
-    f = assemble_rhs(sp)
-    f_norm = _half_norm(f)
-    if not math.isfinite(f_norm):
-        k = sp.model.concentration
-        raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
-    m, n = sp.m, sp.n
     lapack = _scipy("linalg.lapack")
     factor, info = lapack.dpbtrf(assemble_schur_band(sp), lower=1, overwrite_ab=True)
     if info != 0:
         raise RuntimeError(f"Schur band is not positive definite (LAPACK pbtrf info {info})")
-    _, _, k, *_, phase = _structure(m, n)
-    lam_odd = sp.model.lam * k[1::2]
+    lam_odd = sp.model.lam * _structure(sp.m, sp.n)[2][1::2]
 
-    def solve_half(f):  # _half_operator(r) = f
-        f_odd, rhs = f[:, 1::2], f[1:, ::2]
-        if f_odd.any():  # f_e - A_eo A_oo^-1 f_o on j >= 1; the right-hand side lives in degree 0
-            g = np.zeros_like(f)
-            g[:, 1::2] = f_odd / lam_odd
-            rhs = (f + _half_operator(g, sp))[1:, ::2]
-        r = np.zeros_like(f)
-        # -rhs is a new array, so overwrite_b never writes into f
-        even = lapack.dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
-        r[1:, ::2] = even.reshape(-1, m).T
-        r[:, 1::2] = (_half_operator(r, sp)[:, 1::2] - f_odd) / lam_odd
-        return r
+    def solve(f):
+        f_norm = _half_norm(f)
+        if not math.isfinite(f_norm):
+            k = sp.model.concentration
+            raise RuntimeError(f"right-hand side is not finite at lam^2/alpha^2 = {k:.3e}")
+        r, defect = np.zeros_like(f), -f
+        for refinements in range(REFINE_STEPS + 1):
+            d_odd, rhs = defect[:, 1::2], defect[1:, ::2]
+            if d_odd.any():  # d_e - A_eo A_oo^-1 d_o on j >= 1; -f has none when f is in degree 0
+                g = np.zeros_like(f)
+                g[:, 1::2] = d_odd / lam_odd
+                rhs = (defect + _half_operator(g, sp))[1:, ::2]
+            c = np.zeros_like(f)
+            # -rhs is a new array, so overwrite_b never writes into defect
+            even = lapack.dpbtrs(factor, -rhs.ravel(order="F"), lower=1, overwrite_b=True)[0]
+            c[1:, ::2] = even.reshape(-1, sp.m).T
+            c[:, 1::2] = (_half_operator(c, sp)[:, 1::2] - d_odd) / lam_odd
+            r = r - c  # _half_operator(c) = defect
+            defect = _half_operator(r, sp) - f
+            residual = _half_norm(defect) / f_norm
+            if residual <= SOLVE_RTOL:  # also fails on NaN
+                return r, residual
+            if not math.isfinite(residual):  # no correction can mend a non-finite system
+                break
+        raise RuntimeError(
+            f"banded solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e} "
+            f"after {refinements} refinement steps"
+        )
 
-    r, defect = np.zeros((m + 1, n + 1)), -f
-    for refinements in range(REFINE_STEPS + 1):
-        r = r - solve_half(defect)
-        defect = _half_operator(r, sp) - f
-        residual = _half_norm(defect) / f_norm
-        if residual <= SOLVE_RTOL:  # also fails on NaN
-            x = np.concatenate([np.conj(phase) * r[:0:-1], phase * r])
-            return CoeffMatrix(entries=x, residual=float(residual))
-        if not math.isfinite(residual):  # no correction can mend a non-finite system
-            break
-    raise RuntimeError(
-        f"banded solve residual {residual:.3e} exceeds {SOLVE_RTOL:.0e} "
-        f"after {refinements} refinement steps"
-    )
+    return solve
+
+
+def solve_gci(sp: SpectralParams) -> CoeffMatrix:
+    """Solve for the coefficients of psi: _factored(sp) on assemble_rhs(sp), expanded to X.
+
+    The truncated constant, even under (theta, kappa) -> (-theta, -kappa), is a near-kernel
+    of the full system (reciprocal condition about 1e-38 at (30, 61)).  On psi's real, odd
+    class, C_{+-j}^k = phase_k r_j^k or conj(phase_k) r_j^k (phase_k = i for even k, 1 for odd
+    k), it is well conditioned, and reality, oddness and <psi>_mu = 0 hold exactly.  Raises
+    RuntimeError as _factored does, and so from lam^2/alpha^2 = 2^31, where B is not finite.
+    """
+    r, residual = _factored(sp)(assemble_rhs(sp))
+    phase = _structure(sp.m, sp.n)[-1]
+    return CoeffMatrix(np.concatenate([np.conj(phase) * r[:0:-1], phase * r]), residual)
 
 
 def reconstruct_psi(x: CoeffMatrix, sp: SpectralParams, theta, kappa):

@@ -57,9 +57,11 @@ def stencil_galerkin_matrix(sp: SpectralParams) -> np.ndarray:
 
 
 def complex_rhs(sp: SpectralParams) -> np.ndarray:
-    """B of the full complex system, (2m+1) x (n+1): sine_projection(sp, 1) in the Hermite-degree-0 column."""
+    """B of the full complex system, (2m+1) x (n+1): B_j = i sign(j) t_|j| in the Hermite-degree-0
+    column, t = sine_projection(sp, 1) on the half grid j >= 0."""
+    j = sp.fourier_orders()
     b = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    b[:, 0] = sine_projection(sp, 1)
+    b[:, 0] = 1j * np.sign(j) * sine_projection(sp, 1)[np.abs(j)]
     return b
 
 

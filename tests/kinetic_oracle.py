@@ -8,10 +8,10 @@ ptwa.grid.Grid2D, with grid.apply_L's stencils, beside the equilibrium density a
 import math
 
 import numpy as np
+from scipy.special import ive
 
 from ptwa.equilibrium import gaussian_pdf, von_mises_pdf
 from ptwa.grid import _d2_kappa, _d_kappa, _d_theta
-from ptwa.spectral import von_mises_projection
 
 #: isotropy tolerance for the flux, relative to total mass
 FLUX_TOL = 1e-12
@@ -60,13 +60,19 @@ def dissipation(grid, f, params):
     return integrate(grid, apply_Q(grid, f, theta_bar, params) * f / mu_pdf(params, th - theta_bar, ka))
 
 
+def bessel_column(sp) -> np.ndarray:
+    """<1, phi_j>_mu = I_|j|(k/2) / sqrt(I0(k)) for j = -m..m, k = lam^2/alpha^2, in scaled form."""
+    k = sp.model.concentration
+    return ive(np.abs(sp.fourier_orders()), k / 2.0) / math.sqrt(ive(0, k))
+
+
 def constant_coefficients(sp) -> np.ndarray:
-    """Basis coefficients of the constant 1: I_j(k/2) / sqrt(I0(k)) in the Hermite-degree-0 column."""
+    """Basis coefficients of the constant 1: bessel_column in the Hermite-degree-0 column."""
     c = np.zeros((sp.n_fourier, sp.n_hermite), dtype=complex)
-    c[:, 0] = von_mises_projection(sp, 0)
+    c[:, 0] = bessel_column(sp)
     return c
 
 
 def mu_mean(x, sp) -> float:
     """<psi>_mu from the coefficients: zero for a solution on the mean-zero hyperplane."""
-    return float(np.real(np.vdot(von_mises_projection(sp, 0), x.entries[:, 0])))
+    return float(np.real(np.vdot(bessel_column(sp), x.entries[:, 0])))

@@ -55,7 +55,8 @@ class TestGammaMoments:
             ref = gamma_moments_trapezoid(x, sp, n_nodes=1024)
             assert g["gamma1"] == pytest.approx(ref["gamma1"], rel=1e-12, abs=0.0)
             assert g["gamma2"] == pytest.approx(ref["gamma2"], rel=1e-12, abs=0.0)
-            assert g["gamma1"] == gamma_moments_spectral(x, sp)
+            # the energy identity, lam sum_jk k |C_j^k|^2, a second route to gamma1
+            assert gamma_moments_spectral(x, sp) == pytest.approx(g["gamma1"], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("lam,alpha", [(10.0, 0.1), (100.0, 1.0)])
     def test_large_concentration(self, lam, alpha):
@@ -73,6 +74,17 @@ class TestGammaMoments:
         b = gamma_moments_trapezoid(x, sp, n_nodes=1024)
         assert a["gamma1"] == pytest.approx(b["gamma1"], rel=1e-12, abs=0.0)
         assert a["gamma2"] == pytest.approx(b["gamma2"], rel=1e-12, abs=0.0)
+
+    def test_energy_identity_reads_every_hermite_degree(self, medium_solution):
+        # gamma_moments reads Hermite degree 0 alone, the energy identity every degree: a
+        # degree-1 coefficient 0.1 % off its solved value leaves the first and moves the second
+        # by 2.7e-4, far beyond the benchmark's 1e-10 gate between them
+        x, sp = medium_solution
+        entries = x.entries.copy()
+        entries[sp.m + 1, 1] *= 1.001  # C_1^1
+        y = CoeffMatrix(entries)
+        assert gamma_moments(y, sp) == gamma_moments(x, sp)
+        assert abs(gamma_moments_spectral(y, sp) - gamma_moments_spectral(x, sp)) > 1e-4
 
     def test_even_coefficients_give_degenerate_moment(self, unit_model):
         # an even-in-theta psi has vanishing gamma1; the ratio must be refused

@@ -27,6 +27,7 @@ from ptwa.spectral import (
     assemble_rhs,
     psi_on_grid,
     reconstruct_psi,
+    sine_moment,
     sine_projection,
     solve_gci,
 )
@@ -124,24 +125,26 @@ class TestAssembleRhs:
         assert f[1, 0] == pytest.approx(0.458399, abs=1e-6)  # j = 1: -i B_1, B_1 = 0.458399 i
 
     def test_antisymmetry(self):
-        # I_{|j+q|} and I_{|j-q|} trade places under j -> -j
+        # -sin(q theta) is odd: its projection on phi_0 vanishes and that on phi_-j is minus
+        # that on phi_j, so the real half grid j = 0..m holds all of it (test_matches_quadrature)
         sp = SpectralParams(m=4, n=3, model=ModelParams(1.7, 0.9))
         for q in (1, 2):
-            s = sine_projection(sp, q)
-            assert np.array_equal(s[::-1], -s)
+            t = sine_projection(sp, q)
+            assert t.shape == (sp.m + 1,) and t.dtype == np.float64
+            assert t[0] == 0.0
 
     def test_matches_quadrature(self):
-        # sine_projection(sp, q)_j = <-sin(q theta), phi_j P_0>_mu, B at q = 1
+        # i sign(j) t_|j| = <-sin(q theta), phi_j P_0>_mu for j = -m..m, t = sine_projection(sp, q)
         sp = SpectralParams(m=3, n=2, model=ModelParams(1.4, 0.8))
         th = theta_nodes(2048)
         w = 2 * math.pi / 2048
         m_pdf = von_mises_pdf(sp.model, th)
         for q in (1, 2):
-            s = sine_projection(sp, q)
-            for row, j in enumerate(sp.fourier_orders()):
+            t = sine_projection(sp, q)
+            for j in sp.fourier_orders():
                 phi_j = np.exp(1j * j * th) / np.sqrt(2 * math.pi * m_pdf)
                 ref = np.sum(-np.sin(q * th) * np.conj(phi_j) * m_pdf) * w
-                assert s[row] == pytest.approx(ref, abs=1e-10)
+                assert 1j * np.sign(j) * t[abs(j)] == pytest.approx(ref, abs=1e-10)
 
 
 class TestAssemblyOracle:
@@ -409,6 +412,42 @@ class TestReducedSolve:
         x = solve_gci(sp)
         field = psi_on_grid(x, sp, Grid2D(31, -5.0, 5.0, 51))  # `ptwa residual` at delta 0.2
         assert residual_inf(field, sp.model) == pytest.approx(3.6277, rel=1e-4)
+
+
+class TestFactored:
+    @pytest.mark.parametrize("m,n", [(6, 9), (12, 25), (30, 61)])
+    def test_gamma2_is_the_first_moment_of_its_adjoint(self, m, n):
+        # L* = R L R in L^2(mu), R: kappa -> -kappa, and R fixes functions of theta; so phi2
+        # with L phi2 = -sin cos, whose half grid is sine_projection(sp, 2)/2 in degree 0, has
+        # <sin, phi2>_mu = <sin cos, psi>_mu = gamma2 (the adjoint of gamma2, Giles & Suli,
+        # Acta Numerica 2002).  On the Galerkin span this is A_oe = -W A_eo^T.
+        for lam, alpha in [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (0.2, 5.0), (5.0, 0.2),
+                           (0.01, 100.0), (3.0, 0.5)]:
+            sp = SpectralParams(m=m, n=n, model=ModelParams(lam, alpha))
+            f = np.zeros((m + 1, n + 1))
+            f[:, 0] = sine_projection(sp, 2) / 2.0
+            r, residual = spectral._factored(sp)(f)
+            assert residual <= spectral.SOLVE_RTOL
+            gamma2 = compute_hydro_coeffs(solve_gci(sp), sp).gamma2
+            got = sine_moment(CoeffMatrix(class_member(r)), sp, 1)
+            assert got == pytest.approx(gamma2, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (5, 6), (12, 24)])
+    def test_right_hand_side_with_odd_degrees(self, m, n):
+        # the first solve of assemble_rhs skips the Schur step's odd part; a random class
+        # right-hand side takes it.  The solve promises ||L r - f|| <= SOLVE_RTOL ||f|| in
+        # _half_norm (max-norm errors reach 4e-10 max|f| at lam = 0.01, alpha = 100); the
+        # stencil oracle evaluates L another way, which moves that ratio by about 1e-13
+        for seed, model in enumerate((UNIT, ModelParams(2.0, 0.6), ModelParams(0.2, 5.0),
+                                      ModelParams(0.01, 100.0))):
+            sp = SpectralParams(m=m, n=n, model=model)
+            f = np.random.default_rng(seed).standard_normal((m + 1, n + 1))
+            f[0, ::2] = 0.0  # not equations: r_0^e = 0 is pinned
+            r, residual = spectral._factored(sp)(f)
+            assert residual <= spectral.SOLVE_RTOL
+            assert np.all(r[0, ::2] == 0.0)
+            back = half_grid_rows(stencil_on_class(stencil_galerkin_matrix(sp), r))
+            assert spectral._half_norm(back - f) <= 1.01 * spectral.SOLVE_RTOL * spectral._half_norm(f)
 
 
 class TestReconstruction:
